@@ -8,7 +8,9 @@
 //!
 //! Measures, per dataset: the posting-store replay (flat arena vs the
 //! seed's HashMap-row baseline over an identical merge schedule — see
-//! `cspm_bench::enginebench`), the engine's two scheduling policies
+//! `cspm_bench::enginebench`), `seed_scores` (sharing-pair enumeration
+//! plus batch seed scoring on the pristine database, the work before
+//! the first merge), the engine's two scheduling policies
 //! end to end on a pre-built inverted database, a thread sweep of
 //! the incremental merge loop (`merge_loop_incremental_t{1,2,4,8}`),
 //! and the session warm-path pair: `merge_loop_session_cold` (cold
@@ -244,6 +246,23 @@ fn main() {
 
         let db = InvertedDb::build(&d.graph, CoresetMode::SingleValue, GainPolicy::Total);
         let initial_pairs = db.sharing_pairs().len();
+
+        // The work before the first merge: pair enumeration plus batch
+        // seed scoring (with the Algorithm 2 dismissal, as the
+        // incremental policy seeds) on the pristine database.
+        let seed_secs = median_secs(reps, || {
+            let pairs = db.pair_list();
+            db.seed_gains(&pairs, Some(1e-9))
+                .expect("a fresh build is pristine")
+        });
+        println!(
+            "  seed scores ({initial_pairs} pairs): {}",
+            fmt_secs(seed_secs)
+        );
+        records.push(Record {
+            name: format!("{}/seed_scores", d.name),
+            secs: seed_secs,
+        });
         for (label, policy) in [
             ("incremental", SchedulePolicy::Incremental),
             ("full_regeneration", SchedulePolicy::FullRegeneration),

@@ -58,6 +58,24 @@
 //! paper's Algorithm 2 ([`GainView::pair_gain_upper_bound`]): pairs
 //! whose cheap length-only upper bound is non-positive are dismissed
 //! before their exact gain — and before they ever enter the queue.
+//!
+//! # Batch seeding
+//!
+//! The initial sweep scores every sharing pair before the first merge.
+//! On a pristine database (no merge applied: every leafset is a
+//! singleton and no union row exists) it runs as one batch,
+//! [`InvertedDb::seed_gains`]: one counting pass per coreset yields
+//! every pair's overlaps, folded into per-pair accumulators (see
+//! `inverted/seed.rs`). The kernel folds each pair's terms in ascending
+//! coreset order with the expressions [`GainView`] uses, so its gains
+//! are bit-identical to pair-by-pair scoring: `Incremental` keeps the
+//! Algorithm 2 dismissal and its `pruned_pairs` count,
+//! `FullRegeneration` keeps the exact gain and the smallest-pair
+//! tie-break, and `total_gain_evals` still charges one evaluation per
+//! pair. A database that already has merges can hold union rows, which
+//! the kernel does not model; its sweeps (every `FullRegeneration`
+//! sweep after the first, and the Algorithm 4 updates) are scored pair
+//! by pair, across threads.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap};
@@ -68,11 +86,11 @@ use cspm_graph::AttributedGraph;
 use cspm_mdl::OrdF64;
 
 use crate::config::{CspmConfig, IterationStat, RunStats};
-use crate::inverted::{GainView, InvertedDb, LeafsetId};
+use crate::inverted::{GainView, InvertedDb, LeafsetId, PairList};
 use crate::model::MinedModel;
 
 /// Gains this close to zero are treated as "no improvement".
-const GAIN_EPS: f64 = 1e-9;
+pub(crate) const GAIN_EPS: f64 = 1e-9;
 
 /// Hook into the merge loop: called after every accepted merge with
 /// that iteration's [`IterationStat`], and in control of whether the
@@ -314,7 +332,7 @@ pub(crate) fn run_loop(
     // pre-satisfied merge cap skips the sweep entirely.
     let mut policy = policy;
     if !cap_reached(merges) {
-        let pairs = db.sharing_pairs();
+        let pairs = db.pair_list();
         // Scale escape hatch: full regeneration re-sweeps every pair
         // after every merge, O(pairs × merges). Past the configured
         // threshold the whole run delegates to the incremental policy,
@@ -328,7 +346,7 @@ pub(crate) fn run_loop(
             policy = SchedulePolicy::Incremental;
             stats.delegated = true;
         }
-        stats.total_gain_evals += seed_pairs(
+        stats.total_gain_evals += seed_initial(
             &db,
             &pairs,
             &mut scheduler,
@@ -508,6 +526,48 @@ fn resolve_threads(requested: usize) -> usize {
             .unwrap_or(1)
             .clamp(1, CspmConfig::MAX_AUTO_THREADS)
     }
+}
+
+/// The initial sweep: fills the scheduler from the database's own
+/// sharing pairs, exactly as [`seed_pairs`] would. A pristine database
+/// scores every pair in one batch ([`InvertedDb::seed_gains`]); one
+/// with merges already applied falls back to pair-by-pair scoring.
+/// Returns the number of gain evaluations charged — one per pair
+/// either way.
+fn seed_initial(
+    db: &InvertedDb,
+    pairs: &PairList,
+    scheduler: &mut CandidateScheduler,
+    policy: SchedulePolicy,
+    threads: usize,
+    pruned: &mut u64,
+) -> u64 {
+    let prune_eps = (policy == SchedulePolicy::Incremental).then_some(GAIN_EPS);
+    let Some(seed) = db.seed_gains(pairs, prune_eps) else {
+        let pairs: Vec<_> = pairs.iter().collect();
+        return seed_pairs(db, &pairs, scheduler, policy, threads, pruned);
+    };
+    let scored = pairs
+        .iter()
+        .zip(seed.gains)
+        .filter(|&(_, gain)| gain > GAIN_EPS);
+    match policy {
+        SchedulePolicy::FullRegeneration => {
+            // `best_pair`'s selection: pairs arrive in ascending order,
+            // so a strictly-greater test keeps the smallest tied pair.
+            let best = scored.fold(None, |best, ((x, y), gain)| better(best, (x, y, gain)));
+            if let Some((x, y, gain)) = best {
+                scheduler.upsert(x, y, gain);
+            }
+        }
+        SchedulePolicy::Incremental => {
+            *pruned += seed.pruned;
+            for ((x, y), gain) in scored {
+                scheduler.upsert(x, y, gain);
+            }
+        }
+    }
+    pairs.len() as u64
 }
 
 /// Fills the scheduler from the given sharing pairs. Returns the number
@@ -816,6 +876,49 @@ mod tests {
             let (par, par_pruned) = score_pairs(&db, &pairs, threads);
             assert_eq!(seq, par, "gains must be bit-identical at {threads} threads");
             assert_eq!(seq_pruned, par_pruned);
+        }
+    }
+
+    /// The batch initial sweep leaves the scheduler exactly as
+    /// pair-by-pair seeding does: same entries, same gains to the bit,
+    /// same pop order (so the same tie-breaks), same counters.
+    #[test]
+    fn batch_seeding_matches_pair_by_pair_seeding() {
+        let d = many_label_graph(240, 16);
+        for gain_policy in [GainPolicy::Total, GainPolicy::DataOnly] {
+            let db = InvertedDb::build(&d, CoresetMode::SingleValue, gain_policy);
+            let pairs = db.pair_list();
+            let listed: Vec<_> = pairs.iter().collect();
+            for policy in [
+                SchedulePolicy::FullRegeneration,
+                SchedulePolicy::Incremental,
+            ] {
+                let mut batch = CandidateScheduler::default();
+                let mut reference = CandidateScheduler::default();
+                let (mut batch_pruned, mut reference_pruned) = (0u64, 0u64);
+                let batch_evals =
+                    seed_initial(&db, &pairs, &mut batch, policy, 1, &mut batch_pruned);
+                let reference_evals = seed_pairs(
+                    &db,
+                    &listed,
+                    &mut reference,
+                    policy,
+                    4,
+                    &mut reference_pruned,
+                );
+                assert_eq!(batch_evals, reference_evals);
+                assert_eq!(batch_pruned, reference_pruned);
+                assert!(
+                    !reference.is_empty(),
+                    "{policy:?}: fixture has positive pairs"
+                );
+                let drain = |mut c: CandidateScheduler| {
+                    std::iter::from_fn(move || c.pop_max())
+                        .map(|(x, y, g)| (x, y, g.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(drain(batch), drain(reference), "{gain_policy:?}/{policy:?}");
+            }
         }
     }
 

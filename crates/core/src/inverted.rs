@@ -32,6 +32,9 @@ use cspm_mdl::{xlog2x, StandardCodeTable};
 use crate::config::{CoresetMode, GainPolicy};
 use crate::positions::{PostingPolicy, PostingStore, PostingView, RowId};
 
+mod seed;
+pub use seed::{PairList, SeedGains};
+
 /// Index into the coreset registry.
 pub type CoresetId = u32;
 /// Index into the leafset registry.
@@ -835,10 +838,19 @@ impl InvertedDb {
     pub fn iter_rows(
         &self,
     ) -> impl Iterator<Item = (CoresetId, LeafsetId, std::borrow::Cow<'_, [VertexId]>)> {
-        self.rows.iter().enumerate().flat_map(move |(e, m)| {
-            m.iter()
-                .map(move |(&l, &r)| (e as CoresetId, l, self.store.positions(r)))
-        })
+        (0..self.rows.len() as CoresetId)
+            .flat_map(move |e| self.coreset_rows(e).map(move |(l, p)| (e, l, p)))
+    }
+
+    /// The rows of coreset `e` alone, as `(leafset, positions)` in
+    /// [`Self::iter_rows`]' canonical position format.
+    pub fn coreset_rows(
+        &self,
+        e: CoresetId,
+    ) -> impl Iterator<Item = (LeafsetId, std::borrow::Cow<'_, [VertexId]>)> {
+        self.rows[e as usize]
+            .iter()
+            .map(move |(&l, &r)| (l, self.store.positions(r)))
     }
 
     /// Whether one leafset's values are a subset of the other's. Such
@@ -978,19 +990,10 @@ impl InvertedDb {
     }
 
     /// All unordered candidate pairs of live leafsets sharing at least
-    /// one coreset (the only pairs that can have non-zero gain, §V).
+    /// one coreset (the only pairs that can have non-zero gain, §V), in
+    /// ascending `(x, y)` order; [`Self::pair_list`] materialised.
     pub fn sharing_pairs(&self) -> Vec<(LeafsetId, LeafsetId)> {
-        let mut pairs = std::collections::BTreeSet::new();
-        for m in &self.rows {
-            let mut ls: Vec<LeafsetId> = m.keys().copied().collect();
-            ls.sort_unstable();
-            for i in 0..ls.len() {
-                for j in i + 1..ls.len() {
-                    pairs.insert((ls[i], ls[j]));
-                }
-            }
-        }
-        pairs.into_iter().collect()
+        self.pair_list().iter().collect()
     }
 }
 

@@ -81,8 +81,8 @@ pub use decode::{decode_neighborhood, true_neighborhood, verify_lossless, LossEr
 pub use dynamic::{mine_dynamic, DynamicResult, TemporalOccurrences};
 pub use engine::{CandidateScheduler, CspmResult, ProgressObserver, SchedulePolicy};
 pub use inverted::{
-    Coreset, CoresetId, GainView, InvertedDb, LeafsetId, MergeOutcome, PatchError, PatchStats,
-    RestoreError,
+    Coreset, CoresetId, GainView, InvertedDb, LeafsetId, MergeOutcome, PairList, PatchError,
+    PatchStats, RestoreError, SeedGains,
 };
 pub use model::{MinedAStar, MinedModel};
 pub use partial::cspm_partial;

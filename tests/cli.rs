@@ -261,6 +261,62 @@ fn assert_wellformed_json(doc: &str) {
     assert!(!in_str, "unterminated string in {doc}");
 }
 
+/// `cspm mine --json` counters for `cspm generate <dataset> --scale
+/// small --seed 2022`, as pair-by-pair seed scoring produced them:
+/// `(dataset, --basic, final_dl_hex, merges, total_gain_evals,
+/// pruned_pairs)`. The batch seeding kernel must reproduce every one
+/// at every thread count. pokec-Small (`4153207949202dc0` / 207 /
+/// 56011 / 0) is too slow for a debug build; the CI bench job checks
+/// it in release mode.
+const PINNED_SMALL: &[(&str, bool, &str, u64, u64, u64)] = &[
+    ("dblp", false, "40c8c2b4fe55272c", 37, 1098, 23),
+    ("dblp", true, "40c7fe52f37cd648", 74, 97704, 0),
+    ("usflight", false, "40bfc7fd61e2b280", 27, 616, 0),
+    ("usflight", true, "40bdc70255028d61", 75, 52996, 0),
+    ("dblp-trend", false, "40d85a78dbbc3481", 171, 4498, 465),
+    ("dblp-trend", true, "40d648c4aad2bb22", 356, 1049013, 0),
+];
+
+#[test]
+fn small_scale_mining_counters_are_pinned() {
+    for &(dataset, basic, hex, merges, evals, pruned) in PINNED_SMALL {
+        let path = temp_path(&format!("pinned-{dataset}-{basic}.graph"));
+        let path_str = path.to_str().unwrap();
+        let (ok, _, _) = cspm(&[
+            "generate", dataset, path_str, "--scale", "small", "--seed", "2022",
+        ]);
+        assert!(ok, "generate {dataset} failed");
+        for threads in ["1", "4"] {
+            let mut args = vec![
+                "mine",
+                path_str,
+                "--json",
+                "--top",
+                "1",
+                "--threads",
+                threads,
+            ];
+            if basic {
+                args.push("--basic");
+            }
+            let (ok, out, _) = cspm(&args);
+            assert!(ok, "mine {dataset} failed");
+            for key in [
+                format!("\"final_dl_hex\":\"{hex}\""),
+                format!("\"merges\":{merges},"),
+                format!("\"total_gain_evals\":{evals},"),
+                format!("\"pruned_pairs\":{pruned},"),
+            ] {
+                assert!(
+                    out.contains(&key),
+                    "{dataset} basic={basic} threads={threads}: missing {key} in {out}"
+                );
+            }
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn mine_json_emits_one_machine_readable_document() {
     let path = temp_path("json.graph");
