@@ -36,8 +36,8 @@ pub struct LossError {
 /// contain `v`.
 pub fn decode_neighborhood(db: &InvertedDb, e: CoresetId, v: VertexId) -> BTreeSet<AttrId> {
     let mut out = BTreeSet::new();
-    for (lid, positions) in db.coreset_rows(e) {
-        if positions.binary_search(&v).is_ok() {
+    for &(lid, row) in db.rows_by_coreset().of(e) {
+        if db.posting_store().positions(row).binary_search(&v).is_ok() {
             out.extend(db.leafset_items(lid).iter().copied());
         }
     }
@@ -66,12 +66,13 @@ pub fn verify_lossless(g: &AttributedGraph, db: &InvertedDb) -> Vec<LossError> {
     let mut errors = Vec::new();
     // `(row position, decoded value)` for the current coreset.
     let mut tagged: Vec<(VertexId, AttrId)> = Vec::new();
+    let by_coreset = db.rows_by_coreset();
     for (e, coreset) in db.coresets().iter().enumerate() {
         let e = e as CoresetId;
         tagged.clear();
-        for (lid, positions) in db.coreset_rows(e) {
+        for &(lid, row) in by_coreset.of(e) {
             let items = db.leafset_items(lid);
-            for &v in positions.iter() {
+            for &v in db.posting_store().positions(row).iter() {
                 tagged.extend(items.iter().map(|&a| (v, a)));
             }
         }

@@ -25,12 +25,12 @@
 
 use std::collections::HashMap;
 
-use cspm_graph::{AttrId, AttributedGraph, VertexId};
+use cspm_graph::{AttrId, AttributedGraph, MappingTable, VertexId};
 use cspm_itemset::{krimp, slim, KrimpConfig, SlimConfig, TransactionDb};
 use cspm_mdl::{xlog2x, StandardCodeTable};
 
 use crate::config::{CoresetMode, GainPolicy};
-use crate::positions::{PostingPolicy, PostingStore, PostingView, RowId};
+use crate::positions::{intersect, PostingPolicy, PostingStore, PostingView, RowId};
 
 mod seed;
 pub use seed::{PairList, SeedGains};
@@ -77,12 +77,13 @@ pub struct InvertedDb {
     leafset_index: HashMap<Vec<AttrId>, LeafsetId>,
     /// Flat arena holding every row's sorted positions.
     store: PostingStore,
-    /// `rows[e]`: leafset → posting-list row, for coreset `e`.
-    rows: Vec<HashMap<LeafsetId, RowId>>,
+    /// The one row index: `leafset_rows[l]` lists leafset `l`'s rows as
+    /// fixed-width `(coreset, row)` records, strictly ascending by
+    /// coreset. Per-coreset passes read its transpose,
+    /// [`Self::rows_by_coreset`].
+    leafset_rows: Vec<Vec<(CoresetId, RowId)>>,
     /// Reusable intersection buffer for [`Self::merge`].
     scratch_common: Vec<VertexId>,
-    /// Reverse index: coresets in which each leafset currently has a row.
-    leafset_coresets: Vec<Vec<CoresetId>>,
     /// `c_j`: Σ fL over the rows of each coreset.
     coreset_freq: Vec<u64>,
     /// Number of leafsets that still have at least one row.
@@ -222,23 +223,10 @@ impl InvertedDb {
         posting: PostingPolicy,
     ) -> Self {
         let mapping = g.mapping_table();
-        let st = StandardCodeTable::from_counts(
-            (0..g.attr_count())
-                .map(|a| mapping.frequency(a as AttrId) as u64)
-                .collect(),
-        );
+        let st = standard_code_table(g, &mapping);
         // Step 1: determine the coresets and their occurrences.
-        let coreset_occurrences: Vec<(Vec<AttrId>, f64, Vec<VertexId>)> = match mode {
-            CoresetMode::SingleValue => (0..g.attr_count() as AttrId)
-                .filter(|&a| mapping.frequency(a) > 0)
-                .map(|a| {
-                    (
-                        vec![a],
-                        st.code_len(a as usize),
-                        mapping.positions(a).to_vec(),
-                    )
-                })
-                .collect(),
+        let coresets = match mode {
+            CoresetMode::SingleValue => single_value_coresets(g, &mapping, &st),
             CoresetMode::Krimp { min_support } => {
                 let db = vertex_transactions(g);
                 let res = krimp(
@@ -258,19 +246,60 @@ impl InvertedDb {
             }
         };
 
+        // Initial rows materialise roughly one position per
+        // (edge endpoint, leaf value); the label-pair count is a
+        // cheap, same-order lower bound to pre-size the arena.
+        let store = PostingStore::with_capacity_and_policy(g.label_pair_count(), posting);
+        let mut this = Self::without_rows(g, st, coresets, store, mode, gain_policy);
+
+        // Step 2: initial rows — one per (coreset occurrence, leaf value).
+        // Gather, per coreset, the positions of each single leaf value;
+        // the singleton leafset of `leaf` is `leaf` itself (see
+        // [`Self::without_rows`]).
+        let mut by_leaf: Vec<Vec<VertexId>> = vec![Vec::new(); g.attr_count()];
+        let mut leaves: Vec<AttrId> = Vec::new();
+        for e in 0..this.coresets.len() {
+            gather_stars(g, &this.coresets[e].positions, &mut by_leaf, &mut leaves);
+            for leaf in leaves.drain(..) {
+                let pos = std::mem::take(&mut by_leaf[leaf as usize]);
+                this.add_row(e as CoresetId, leaf, &pos);
+            }
+        }
+        // Replace the per-row accumulation with one canonical pass, so
+        // the pristine DL terms are a pure function of the final rows —
+        // a patched database (apply_delta) recomputes them the same
+        // way and lands on bit-identical floats.
+        this.recompute_dl_terms();
+        this
+    }
+
+    /// A pristine database over `coresets` with no rows yet.
+    ///
+    /// Canonical leafset numbering: every attribute value gets its
+    /// singleton leafset id upfront, in attribute-id order, so
+    /// `lid(singleton {a}) == a` regardless of which coreset happens to
+    /// encounter the leaf first. This is what makes an incrementally
+    /// patched database (apply_delta) numbered identically to a fresh
+    /// build of the grown graph — and leafset ids are tie-breakers in
+    /// the candidate scheduler, so identical numbering is required for
+    /// bit-identical mining.
+    fn without_rows(
+        g: &AttributedGraph,
+        st: StandardCodeTable,
+        coresets: Vec<Coreset>,
+        store: PostingStore,
+        mode: CoresetMode,
+        gain_policy: GainPolicy,
+    ) -> Self {
         let mut this = Self {
             st,
-            coresets: Vec::new(),
+            coreset_freq: vec![0; coresets.len()],
+            coresets,
             leafsets: Vec::new(),
             leafset_index: HashMap::new(),
-            // Initial rows materialise roughly one position per
-            // (edge endpoint, leaf value); the label-pair count is a
-            // cheap, same-order lower bound to pre-size the arena.
-            store: PostingStore::with_capacity_and_policy(g.label_pair_count(), posting),
-            rows: Vec::new(),
+            store,
+            leafset_rows: Vec::new(),
             scratch_common: Vec::new(),
-            leafset_coresets: Vec::new(),
-            coreset_freq: Vec::new(),
             live_leafsets: 0,
             mode,
             pristine: true,
@@ -280,58 +309,9 @@ impl InvertedDb {
             ctc_cost: 0.0,
             gain_policy,
         };
-
-        for (items, code_len, positions) in coreset_occurrences {
-            this.coresets.push(Coreset {
-                items,
-                code_len,
-                positions,
-            });
-            this.rows.push(HashMap::new());
-            this.coreset_freq.push(0);
-        }
-
-        // Canonical leafset numbering: every attribute value gets its
-        // singleton leafset id upfront, in attribute-id order, so
-        // `lid(singleton {a}) == a` regardless of which coreset happens
-        // to encounter the leaf first. This is what makes an
-        // incrementally patched database (apply_delta) numbered
-        // identically to a fresh build of the grown graph — and leafset
-        // ids are tie-breakers in the candidate scheduler, so identical
-        // numbering is required for bit-identical mining.
         for a in 0..g.attr_count() as AttrId {
             this.intern_leafset(vec![a]);
         }
-
-        // Step 2: initial rows — one per (coreset occurrence, leaf value).
-        // Gather, per coreset, the positions of each single leaf value.
-        let mut scratch: HashMap<AttrId, Vec<VertexId>> = HashMap::new();
-        for e in 0..this.coresets.len() {
-            scratch.clear();
-            let positions = std::mem::take(&mut this.coresets[e].positions);
-            for &v in &positions {
-                for &u in g.neighbors(v) {
-                    for &leaf in g.labels(u) {
-                        let entry = scratch.entry(leaf).or_default();
-                        if entry.last() != Some(&v) {
-                            entry.push(v);
-                        }
-                    }
-                }
-            }
-            this.coresets[e].positions = positions;
-            let mut leaves: Vec<(AttrId, Vec<VertexId>)> = scratch.drain().collect();
-            leaves.sort_by_key(|(a, _)| *a);
-            for (leaf, pos) in leaves {
-                let lid = this.intern_leafset(vec![leaf]);
-                this.add_row(e as CoresetId, lid, &pos);
-            }
-        }
-        // Replace the per-row accumulation with one canonical pass, so
-        // the pristine DL terms are a pure function of the final rows —
-        // a patched database (apply_delta) recomputes them the same
-        // way and lands on bit-identical floats.
-        this.recompute_dl_terms();
         this
     }
 
@@ -344,14 +324,11 @@ impl InvertedDb {
     /// reproducible.
     fn recompute_dl_terms(&mut self) {
         let (mut ctc, mut t1, mut t2, mut material) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-        let mut rows: Vec<(LeafsetId, RowId)> = Vec::new();
+        let by_coreset = self.rows_by_coreset();
         for (e, c) in self.coresets.iter().enumerate() {
             ctc += self.st.set_cost(c.items.iter().map(|&a| a as usize)) + c.code_len;
             t1 += xlog2x(self.coreset_freq[e] as f64);
-            rows.clear();
-            rows.extend(self.rows[e].iter().map(|(&lid, &row)| (lid, row)));
-            rows.sort_unstable_by_key(|&(lid, _)| lid);
-            for &(lid, row) in &rows {
+            for &(lid, row) in by_coreset.of(e as CoresetId) {
                 t2 += xlog2x(self.store.len(row) as f64);
                 material += self
                     .st
@@ -393,11 +370,12 @@ impl InvertedDb {
     /// Cost: a star scan of the dirty centers only, plus linear
     /// refresh passes over existing state — the mapping table and
     /// standard code table (`O(|λ| + |A|)`, attribute frequencies
-    /// change globally), one dirty-overlap probe per retained row, and
-    /// the canonical DL-term recomputation (`O(rows)`). Still linear
-    /// in the graph, but a large constant factor cheaper than
-    /// [`Self::build`]'s full star scan (~8× on pokec-Small: 21 ms vs
-    /// 163 ms).
+    /// change globally), one probe per retained row against the dirty
+    /// centers that carried its coreset, and the canonical DL-term
+    /// recomputation (`O(rows)`). Still linear in the graph, but a large
+    /// constant factor cheaper than [`Self::build`]'s full star scan
+    /// (~8× on pokec-Small with 300 added vertices, 600 dirty centers:
+    /// ≈8 ms vs ≈65 ms on a 2-core x86-64 box).
     pub fn apply_delta(
         &mut self,
         g: &AttributedGraph,
@@ -443,80 +421,62 @@ impl InvertedDb {
 
         // Attribute frequencies changed globally, so the standard code
         // table — and with it every coreset's CT_c code — must be
-        // refreshed wholesale (cheap: O(|A|)).
-        self.st = StandardCodeTable::from_counts(
-            (0..g.attr_count())
-                .map(|a| mapping.frequency(a as AttrId) as u64)
-                .collect(),
-        );
-        for (e, c) in self.coresets.iter_mut().enumerate() {
-            c.code_len = self.st.code_len(e);
-            c.positions = mapping.positions(e as AttrId).to_vec();
-        }
+        // refreshed wholesale (cheap: O(|A|)); the per-coreset loop
+        // below refreshes each coreset's code and positions.
+        self.st = standard_code_table(g, &mapping);
         // New attribute values append new coresets and new singleton
         // leafsets, in attribute-id order — exactly the numbering a
         // fresh build would assign.
         for a in self.coresets.len() as AttrId..g.attr_count() as AttrId {
             self.coresets.push(Coreset {
                 items: vec![a],
-                code_len: self.st.code_len(a as usize),
-                positions: mapping.positions(a).to_vec(),
+                code_len: 0.0,
+                positions: Vec::new(),
             });
-            self.rows.push(HashMap::new());
             self.coreset_freq.push(0);
             let lid = self.intern_leafset(vec![a]);
             debug_assert_eq!(lid, a, "pristine numbering must stay canonical");
             stats.new_coresets += 1;
         }
 
-        // Re-derive the rows of every dirty center against the evolved
-        // graph. `desired` holds, per (coreset, leaf) row, exactly the
-        // dirty centers that belong to that row *now* — memberships a
-        // removal retracted simply never show up. Batching per row
-        // means one difference pass plus one union pass (and at most
-        // one relocation) per touched row, where per-position edits
-        // would re-copy the row k times and leave abandoned spans.
-        let mut desired: HashMap<(AttrId, AttrId), Vec<VertexId>> = HashMap::new();
+        // Per coreset `e`, re-derive the stars of the dirty centers
+        // carrying `e` now: `by_leaf[l]` collects the ones that belong
+        // to row `(e, l)` *now* — memberships a removal retracted simply
+        // never show up. Each retained row clears its stale positions (a
+        // row of `e` holds only vertices that carried `e` before the
+        // delta, so only those dirty centers are probed), then takes its
+        // batch back: one difference and one union pass per touched row.
+        // Rows that empty out go back to the free-list; batches no row
+        // took are `(coreset, leaf)` pairs that first co-occur now, and
+        // become fresh rows through the build's insertion path.
+        let retained = self.rows_by_coreset();
+        let mut by_leaf: Vec<Vec<VertexId>> = vec![Vec::new(); g.attr_count()];
         let mut leaves: Vec<AttrId> = Vec::new();
-        for &v in dirty {
-            leaves.clear();
-            for &u in g.neighbors(v) {
-                leaves.extend_from_slice(g.labels(u));
-            }
-            leaves.sort_unstable();
-            leaves.dedup();
-            for &a in g.labels(v) {
-                for &leaf in &leaves {
-                    // `dirty` is sorted, so each row's batch stays
-                    // sorted by construction.
-                    desired.entry((a, leaf)).or_default().push(v);
-                }
-            }
-        }
-
-        // Pass 1 — retained rows: clear every dirty position, then put
-        // back the ones that still qualify. A row no dirty center ever
-        // touched has zero overlap and no batch, and is skipped
-        // untouched. Rows that empty out go back to the free-list (a
-        // fresh build would not have them).
         for e in 0..self.coresets.len() {
-            let mut retained: Vec<(LeafsetId, RowId)> =
-                self.rows[e].iter().map(|(&lid, &row)| (lid, row)).collect();
-            retained.sort_unstable_by_key(|&(lid, _)| lid);
-            for (lid, row) in retained {
-                let batch = desired.remove(&(e as AttrId, lid));
-                let overlap = self.store.intersect_count_slice(row, dirty);
-                if overlap == 0 && batch.is_none() {
+            let c = &mut self.coresets[e];
+            c.code_len = self.st.code_len(e);
+            let stale = intersect(dirty, &c.positions);
+            c.positions = mapping.positions(e as AttrId).to_vec();
+            gather_stars(
+                g,
+                &intersect(dirty, &c.positions),
+                &mut by_leaf,
+                &mut leaves,
+            );
+            for &(lid, row) in retained.of(e as CoresetId) {
+                let batch = std::mem::take(&mut by_leaf[lid as usize]);
+                let overlap = self.store.intersect_count_slice(row, &stale);
+                if overlap == 0 && batch.is_empty() {
                     continue;
                 }
                 let old_len = self.store.len(row);
                 let mut new_len = old_len;
                 if overlap > 0 {
-                    new_len = self.store.difference(row, dirty);
+                    new_len = self.store.difference(row, &stale);
                     stats.positions_removed += overlap;
                 }
-                if let Some(vs) = &batch {
-                    new_len = self.store.union_in_place(row, vs);
+                if !batch.is_empty() {
+                    new_len = self.store.union_in_place(row, &batch);
                     stats.positions_added += new_len - (old_len - overlap);
                 }
                 if new_len >= old_len {
@@ -525,27 +485,23 @@ impl InvertedDb {
                     self.coreset_freq[e] -= (old_len - new_len) as u64;
                 }
                 if new_len == 0 {
-                    self.rows[e].remove(&lid);
-                    self.store.release(row);
-                    self.unlink(lid, e as CoresetId);
+                    self.remove_row(e as CoresetId, lid);
                     stats.rows_removed += 1;
+                }
+            }
+            for leaf in leaves.drain(..) {
+                let batch = std::mem::take(&mut by_leaf[leaf as usize]);
+                if !batch.is_empty() {
+                    self.add_row(e as CoresetId, leaf, &batch);
+                    stats.rows_added += 1;
+                    stats.positions_added += batch.len();
                 }
             }
         }
 
-        // Pass 2 — leftover batches are (coreset, leaf) pairs that
-        // first co-occur in the evolved graph: fresh rows, through the
-        // same insertion path as the build so patched and fresh
-        // databases share one set of row invariants.
-        let mut fresh: Vec<((AttrId, AttrId), Vec<VertexId>)> = desired.into_iter().collect();
-        fresh.sort_unstable_by_key(|&(key, _)| key);
-        for ((a, leaf), vs) in fresh {
-            self.add_row(a, leaf, &vs);
-            stats.rows_added += 1;
-            stats.positions_added += vs.len();
-        }
-
         self.recompute_dl_terms();
+        #[cfg(test)]
+        self.check_index();
         Ok(stats)
     }
 
@@ -578,42 +534,17 @@ impl InvertedDb {
         I: IntoIterator<Item = (CoresetId, LeafsetId, &'a [VertexId])>,
     {
         let mapping = g.mapping_table();
-        let st = StandardCodeTable::from_counts(
-            (0..g.attr_count())
-                .map(|a| mapping.frequency(a as AttrId) as u64)
-                .collect(),
-        );
-        let mut this = Self {
+        let st = standard_code_table(g, &mapping);
+        let coresets = single_value_coresets(g, &mapping, &st);
+        let store = PostingStore::with_capacity(g.label_pair_count());
+        let mut this = Self::without_rows(
+            g,
             st,
-            coresets: Vec::new(),
-            leafsets: Vec::new(),
-            leafset_index: HashMap::new(),
-            store: PostingStore::with_capacity(g.label_pair_count()),
-            rows: Vec::new(),
-            scratch_common: Vec::new(),
-            leafset_coresets: Vec::new(),
-            coreset_freq: Vec::new(),
-            live_leafsets: 0,
-            mode: CoresetMode::SingleValue,
-            pristine: true,
-            term1: 0.0,
-            term2: 0.0,
-            material_cost: 0.0,
-            ctc_cost: 0.0,
+            coresets,
+            store,
+            CoresetMode::SingleValue,
             gain_policy,
-        };
-        for a in (0..g.attr_count() as AttrId).filter(|&a| mapping.frequency(a) > 0) {
-            this.coresets.push(Coreset {
-                items: vec![a],
-                code_len: this.st.code_len(a as usize),
-                positions: mapping.positions(a).to_vec(),
-            });
-            this.rows.push(HashMap::new());
-            this.coreset_freq.push(0);
-        }
-        for a in 0..g.attr_count() as AttrId {
-            this.intern_leafset(vec![a]);
-        }
+        );
         let n = g.vertex_count() as VertexId;
         for (e, lid, positions) in rows {
             if e as usize >= this.coresets.len() {
@@ -641,7 +572,7 @@ impl InvertedDb {
                     message: "row position beyond the graph",
                 });
             }
-            if this.rows[e as usize].contains_key(&lid) {
+            if this.find_row(e, lid).is_some() {
                 return Err(RestoreError {
                     message: "duplicate row",
                 });
@@ -649,7 +580,53 @@ impl InvertedDb {
             this.add_row(e, lid, positions);
         }
         this.recompute_dl_terms();
+        #[cfg(test)]
+        this.check_index();
         Ok(this)
+    }
+
+    /// Checks the row index against everything kept beside it: each
+    /// list strictly ascending by coreset, every row live, non-empty and
+    /// indexed once, `coreset_freq` and `live_leafsets` matching the
+    /// lists, and [`Self::rows_by_coreset`] holding exactly their rows.
+    #[cfg(test)]
+    pub(crate) fn check_index(&self) {
+        let mut handles = std::collections::HashSet::new();
+        let mut freq = vec![0u64; self.coresets.len()];
+        let mut listed = Vec::new();
+        for (lid, list) in self.leafset_rows.iter().enumerate() {
+            assert!(
+                list.windows(2).all(|w| w[0].0 < w[1].0),
+                "leafset {lid}: rows not strictly ascending by coreset"
+            );
+            for &(e, row) in list {
+                let len = self.store.len(row);
+                assert!(len > 0, "row ({e}, {lid}) is empty");
+                assert!(handles.insert(row), "row ({e}, {lid}) shares a handle");
+                freq[e as usize] += len as u64;
+                listed.push((e, lid as LeafsetId, row));
+            }
+        }
+        assert_eq!(freq, self.coreset_freq, "coreset_freq is not the row sum");
+        let live = self.leafset_rows.iter().filter(|l| !l.is_empty()).count();
+        assert_eq!(self.live_leafsets, live, "live_leafsets");
+        assert_eq!(self.row_count(), listed.len(), "row_count");
+        let arena = self.store.repr_stats();
+        assert_eq!(
+            arena.sparse_rows + arena.bitmap_rows,
+            listed.len(),
+            "the arena holds rows the index does not"
+        );
+        let by_coreset = self.rows_by_coreset();
+        let mut viewed = Vec::new();
+        for e in 0..self.coresets.len() as CoresetId {
+            viewed.extend(by_coreset.of(e).iter().map(|&(lid, row)| (e, lid, row)));
+        }
+        listed.sort_unstable_by_key(|&(e, lid, _)| (e, lid));
+        assert_eq!(
+            listed, viewed,
+            "the per-coreset view disagrees with the index"
+        );
     }
 
     /// Whether no merge has been applied since the build (or last
@@ -672,11 +649,11 @@ impl InvertedDb {
         let id = self.leafsets.len() as LeafsetId;
         self.leafsets.push(items.clone());
         self.leafset_index.insert(items, id);
-        self.leafset_coresets.push(Vec::new());
+        self.leafset_rows.push(Vec::new());
         id
     }
 
-    /// Inserts a brand-new row, updating frequencies and links — but
+    /// Inserts a brand-new row, updating frequencies and the index — but
     /// *not* the DL terms: build-time callers finish with
     /// [`Self::recompute_dl_terms`], the single source of truth for the
     /// pristine terms. Positions must be sorted and non-empty, and the
@@ -686,19 +663,66 @@ impl InvertedDb {
         debug_assert!(positions.windows(2).all(|w| w[0] < w[1]));
         self.coreset_freq[e as usize] += positions.len() as u64;
         let row = self.store.insert(positions);
-        let existed = self.rows[e as usize].insert(lid, row).is_some();
-        debug_assert!(!existed, "add_row on existing row");
-        let cs = &mut self.leafset_coresets[lid as usize];
-        if cs.is_empty() {
+        self.index_row(e, lid, row);
+    }
+
+    /// Links `row` into `lid`'s list at coreset `e`, keeping the list
+    /// sorted for the two-pointer walks of scoring and merging.
+    fn index_row(&mut self, e: CoresetId, lid: LeafsetId, row: RowId) {
+        let rows = &mut self.leafset_rows[lid as usize];
+        if rows.is_empty() {
             self.live_leafsets += 1;
         }
-        // Kept sorted so shared-coreset iteration (the inner loop of
-        // every gain and bound evaluation) is a two-pointer merge
-        // rather than a quadratic `contains` scan.
-        match cs.binary_search(&e) {
-            Ok(_) => debug_assert!(false, "coreset already linked"),
-            Err(pos) => cs.insert(pos, e),
+        match rows.binary_search_by_key(&e, |&(c, _)| c) {
+            Ok(_) => debug_assert!(false, "row ({e}, {lid}) already indexed"),
+            Err(i) => rows.insert(i, (e, row)),
         }
+    }
+
+    /// Unlinks row `(e, lid)` from the index and releases its positions.
+    fn remove_row(&mut self, e: CoresetId, lid: LeafsetId) {
+        let rows = &mut self.leafset_rows[lid as usize];
+        let i = rows
+            .binary_search_by_key(&e, |&(c, _)| c)
+            .expect("removed row is indexed");
+        let (_, row) = rows.remove(i); // ordered remove keeps the list sorted
+        if rows.is_empty() {
+            self.live_leafsets -= 1;
+        }
+        self.store.release(row);
+    }
+
+    /// The row of `lid` under coreset `e`, if any.
+    fn find_row(&self, e: CoresetId, lid: LeafsetId) -> Option<RowId> {
+        let rows = &self.leafset_rows[lid as usize];
+        let i = rows.binary_search_by_key(&e, |&(c, _)| c).ok()?;
+        Some(rows[i].1)
+    }
+
+    /// Every row grouped by coreset — the transpose of the row index,
+    /// built in O(rows) by walking leafsets in ascending id, so each
+    /// coreset's rows come out ascending by leafset without a sort.
+    /// Rows added or removed afterwards are not reflected.
+    pub(crate) fn rows_by_coreset(&self) -> RowsByCoreset {
+        let n = self.coresets.len();
+        let mut offsets = vec![0usize; n + 1];
+        for &(e, _) in self.leafset_rows.iter().flatten() {
+            offsets[e as usize + 1] += 1;
+        }
+        for e in 0..n {
+            offsets[e + 1] += offsets[e];
+        }
+        // Every slot is overwritten below; any row handle pre-fills them.
+        let filler = self.leafset_rows.iter().flatten().next();
+        let mut rows = filler.map_or(Vec::new(), |&(_, r)| vec![(0, r); offsets[n]]);
+        let mut next = offsets[..n].to_vec();
+        for (lid, list) in self.leafset_rows.iter().enumerate() {
+            for &(e, row) in list {
+                rows[next[e as usize]] = (lid as LeafsetId, row);
+                next[e as usize] += 1;
+            }
+        }
+        RowsByCoreset { offsets, rows }
     }
 
     fn leafset_st_cost(&self, lid: LeafsetId) -> f64 {
@@ -752,14 +776,9 @@ impl InvertedDb {
         &self.leafsets[lid as usize]
     }
 
-    /// Coresets in which `lid` currently has rows.
-    pub fn leafset_coresets(&self, lid: LeafsetId) -> &[CoresetId] {
-        &self.leafset_coresets[lid as usize]
-    }
-
     /// Whether the leafset still has at least one row.
     pub fn is_live(&self, lid: LeafsetId) -> bool {
-        !self.leafset_coresets[lid as usize].is_empty()
+        !self.leafset_rows[lid as usize].is_empty()
     }
 
     /// Number of live leafsets.
@@ -776,15 +795,14 @@ impl InvertedDb {
 
     /// Total number of rows.
     pub fn row_count(&self) -> usize {
-        self.rows.iter().map(HashMap::len).sum()
+        self.leafset_rows.iter().map(Vec::len).sum()
     }
 
     /// Positions of row `(e, lid)` as owned sorted ids, if present
     /// (bitmap rows decode, so a borrowed slice cannot be returned).
     pub fn row_positions(&self, e: CoresetId, lid: LeafsetId) -> Option<Vec<VertexId>> {
-        self.rows[e as usize]
-            .get(&lid)
-            .map(|&r| self.store.positions(r).into_owned())
+        self.find_row(e, lid)
+            .map(|r| self.store.positions(r).into_owned())
     }
 
     /// The flat posting-list arena backing all rows.
@@ -793,8 +811,8 @@ impl InvertedDb {
     }
 
     /// Estimated resident bytes of the database: the posting arena plus
-    /// the structures that scale with coresets/leafsets (row maps,
-    /// coreset position lists, the reverse leafset index). Constant-size
+    /// the structures that scale with coresets/leafsets (the row index,
+    /// coreset position lists, the leafset interner). Constant-size
     /// bookkeeping is ignored — this feeds a daemon's eviction budget,
     /// where only graph-proportional terms matter.
     pub fn approx_bytes(&self) -> usize {
@@ -812,18 +830,17 @@ impl InvertedDb {
             .iter()
             .map(|l| std::mem::size_of_val(l.as_slice()))
             .sum();
-        let rows: usize = self.rows.iter().map(|m| m.len() * MAP_ENTRY).sum();
+        let rows: usize = self
+            .leafset_rows
+            .iter()
+            .map(|l| std::mem::size_of_val(l.as_slice()))
+            .sum();
         let index: usize = self
             .leafset_index
             .keys()
             .map(|k| MAP_ENTRY + std::mem::size_of_val(k.as_slice()))
             .sum();
-        let reverse: usize = self
-            .leafset_coresets
-            .iter()
-            .map(|v| std::mem::size_of_val(v.as_slice()))
-            .sum();
-        self.store.approx_bytes() + coresets + leafsets + rows + index + reverse
+        self.store.approx_bytes() + coresets + leafsets + rows + index
     }
 
     /// `c_j` of a coreset: Σ fL of its rows.
@@ -831,26 +848,24 @@ impl InvertedDb {
         self.coreset_freq[e as usize]
     }
 
-    /// Iterates all rows as `(coreset, leafset, positions)`. Positions
-    /// are always **canonical sorted ids**: sparse rows borrow from the
-    /// arena, bitmap rows decode on the fly — so snapshots and every
-    /// other consumer see one representation-independent format.
+    /// Iterates all rows as `(coreset, leafset, positions)` in
+    /// ascending `(coreset, leafset)` order — a function of the rows
+    /// alone, so databases with equal rows yield equal sequences however
+    /// they were built, patched or restored. Positions are always
+    /// **canonical sorted ids**: sparse rows borrow from the arena,
+    /// bitmap rows decode on the fly — so snapshots and every other
+    /// consumer see one representation-independent format.
     pub fn iter_rows(
         &self,
     ) -> impl Iterator<Item = (CoresetId, LeafsetId, std::borrow::Cow<'_, [VertexId]>)> {
-        (0..self.rows.len() as CoresetId)
-            .flat_map(move |e| self.coreset_rows(e).map(move |(l, p)| (e, l, p)))
-    }
-
-    /// The rows of coreset `e` alone, as `(leafset, positions)` in
-    /// [`Self::iter_rows`]' canonical position format.
-    pub fn coreset_rows(
-        &self,
-        e: CoresetId,
-    ) -> impl Iterator<Item = (LeafsetId, std::borrow::Cow<'_, [VertexId]>)> {
-        self.rows[e as usize]
-            .iter()
-            .map(move |(&l, &r)| (l, self.store.positions(r)))
+        let RowsByCoreset { offsets, rows } = self.rows_by_coreset();
+        let mut e = 0usize;
+        rows.into_iter().enumerate().map(move |(i, (lid, row))| {
+            while offsets[e + 1] <= i {
+                e += 1;
+            }
+            (e as CoresetId, lid, self.store.positions(row))
+        })
     }
 
     /// Whether one leafset's values are a subset of the other's. Such
@@ -897,20 +912,17 @@ impl InvertedDb {
             &self.leafsets[y as usize],
         ));
         let mut touched = Vec::new();
-        let shared: Vec<CoresetId> = shared_sorted(
-            &self.leafset_coresets[x as usize],
-            &self.leafset_coresets[y as usize],
-        );
+        let shared: Vec<(CoresetId, RowId, RowId)> = shared_rows(
+            &self.leafset_rows[x as usize],
+            &self.leafset_rows[y as usize],
+        )
+        .collect();
         // Reusable intersection buffer: steady-state merging allocates
         // nothing — parents shrink in place, unions grow in place while
         // their spans have slack, dead spans are recycled.
         let mut common = std::mem::take(&mut self.scratch_common);
-        for e in shared {
-            {
-                let rx = self.rows[e as usize][&x];
-                let ry = self.rows[e as usize][&y];
-                self.store.intersect_into(rx, ry, &mut common);
-            }
+        for (e, rx, ry) in shared {
+            self.store.intersect_into(rx, ry, &mut common);
             if common.is_empty() {
                 continue;
             }
@@ -920,27 +932,24 @@ impl InvertedDb {
             // Shrink (or drop) the parents. Nested unions (n == x or
             // n == y) never reach here: `pair_gain` filters them and the
             // algorithms skip zero-gain pairs, but guard anyway.
-            for parent in [x, y] {
+            for (parent, row) in [(x, rx), (y, ry)] {
                 if parent == n {
                     continue;
                 }
-                let row = *self.rows[e as usize].get(&parent).expect("shared row");
                 let old = self.store.len(row) as u64;
                 self.term2 -= xlog2x(old as f64);
                 let new = self.store.difference(row, &common) as u64;
                 fe = fe - old + new;
                 if new == 0 {
-                    self.rows[e as usize].remove(&parent);
-                    self.store.release(row);
+                    self.remove_row(e, parent);
                     self.material_cost -=
                         self.leafset_st_cost(parent) + self.coresets[e as usize].code_len;
-                    self.unlink(parent, e);
                 } else {
                     self.term2 += xlog2x(new as f64);
                 }
             }
             // Grow (or create) the union row.
-            match self.rows[e as usize].get(&n).copied() {
+            match self.find_row(e, n) {
                 Some(row) => {
                     let old = self.store.len(row) as u64;
                     self.term2 -= xlog2x(old as f64);
@@ -954,21 +963,16 @@ impl InvertedDb {
                     self.material_cost +=
                         self.leafset_st_cost(n) + self.coresets[e as usize].code_len;
                     let row = self.store.insert(&common);
-                    self.rows[e as usize].insert(n, row);
+                    self.index_row(e, n, row);
                     fe += fl;
-                    let cs = &mut self.leafset_coresets[n as usize];
-                    if cs.is_empty() {
-                        self.live_leafsets += 1;
-                    }
-                    if let Err(pos) = cs.binary_search(&e) {
-                        cs.insert(pos, e);
-                    }
                 }
             }
             self.term1 += xlog2x(fe as f64);
             self.coreset_freq[e as usize] = fe;
         }
         self.scratch_common = common;
+        #[cfg(test)]
+        self.check_index();
         MergeOutcome {
             new_leafset: n,
             x_removed: !self.is_live(x),
@@ -976,16 +980,6 @@ impl InvertedDb {
             merged_any: !touched.is_empty(),
             touched_coresets: touched,
             dl_delta: self.total_dl() - dl_before,
-        }
-    }
-
-    fn unlink(&mut self, lid: LeafsetId, e: CoresetId) {
-        let cs = &mut self.leafset_coresets[lid as usize];
-        if let Ok(pos) = cs.binary_search(&e) {
-            cs.remove(pos); // ordered remove keeps the list sorted
-        }
-        if cs.is_empty() {
-            self.live_leafsets -= 1;
         }
     }
 
@@ -1109,9 +1103,9 @@ impl GainView<'_> {
     }
 
     /// Resolves the pair's shared coresets to row handles (clearing
-    /// `out` first): a two-pointer walk over the sorted membership
-    /// lists, with one hash lookup per row — the only lookups any
-    /// scoring path performs for this pair.
+    /// `out` first): a two-pointer walk over x's and y's row lists, plus
+    /// a binary search of the union leafset's list per shared coreset —
+    /// the only index reads any scoring path performs for this pair.
     fn collect_shared(
         &self,
         x: LeafsetId,
@@ -1121,17 +1115,16 @@ impl GainView<'_> {
     ) {
         let db = self.db;
         out.clear();
-        for e in shared_iter(
-            &db.leafset_coresets[x as usize],
-            &db.leafset_coresets[y as usize],
-        ) {
-            let rx = db.rows[e as usize][&x];
-            let Some(&ry) = db.rows[e as usize].get(&y) else {
-                continue;
-            };
-            let rn = union_id.and_then(|n| db.rows[e as usize].get(&n)).copied();
-            out.push(SharedRow { e, rx, ry, rn });
-        }
+        out.extend(
+            shared_rows(&db.leafset_rows[x as usize], &db.leafset_rows[y as usize]).map(
+                |(e, rx, ry)| SharedRow {
+                    e,
+                    rx,
+                    ry,
+                    rn: union_id.and_then(|n| db.find_row(e, n)),
+                },
+            ),
+        );
     }
 
     /// The exact gain of Eq. 9/10–15 over collected shared rows; see
@@ -1311,26 +1304,39 @@ pub(crate) struct SharedRow {
     rn: Option<RowId>,
 }
 
-/// Two-pointer intersection of two sorted coreset-id lists.
-fn shared_sorted(a: &[CoresetId], b: &[CoresetId]) -> Vec<CoresetId> {
-    shared_iter(a, b).collect()
+/// Every row grouped by coreset; see [`InvertedDb::rows_by_coreset`].
+pub(crate) struct RowsByCoreset {
+    /// Coreset `e`'s rows live at `rows[offsets[e]..offsets[e + 1]]`.
+    offsets: Vec<usize>,
+    rows: Vec<(LeafsetId, RowId)>,
 }
 
-/// Allocation-free two-pointer walk over the coresets two (sorted)
-/// membership lists have in common — the inner loop of every gain and
-/// bound evaluation, linear where a `contains` filter is quadratic.
-fn shared_iter<'a>(a: &'a [CoresetId], b: &'a [CoresetId]) -> impl Iterator<Item = CoresetId> + 'a {
+impl RowsByCoreset {
+    /// Coreset `e`'s rows as `(leafset, row)`, ascending by leafset.
+    pub(crate) fn of(&self, e: CoresetId) -> &[(LeafsetId, RowId)] {
+        &self.rows[self.offsets[e as usize]..self.offsets[e as usize + 1]]
+    }
+}
+
+/// Allocation-free two-pointer walk over the coresets two leafsets'
+/// row lists have in common, yielding `(coreset, x's row, y's row)` in
+/// ascending coreset order — the inner loop of every gain and bound
+/// evaluation.
+fn shared_rows<'a>(
+    a: &'a [(CoresetId, RowId)],
+    b: &'a [(CoresetId, RowId)],
+) -> impl Iterator<Item = (CoresetId, RowId, RowId)> + 'a {
     let (mut i, mut j) = (0usize, 0usize);
     std::iter::from_fn(move || {
         while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
+            let ((ea, ra), (eb, rb)) = (a[i], b[j]);
+            match ea.cmp(&eb) {
                 std::cmp::Ordering::Less => i += 1,
                 std::cmp::Ordering::Greater => j += 1,
                 std::cmp::Ordering::Equal => {
-                    let e = a[i];
                     i += 1;
                     j += 1;
-                    return Some(e);
+                    return Some((ea, ra, rb));
                 }
             }
         }
@@ -1347,6 +1353,57 @@ fn union_items(a: &[AttrId], b: &[AttrId]) -> Vec<AttrId> {
     out
 }
 
+/// The standard code table over `g`'s attribute values, from the
+/// frequencies in `mapping` (`g`'s mapping table).
+fn standard_code_table(g: &AttributedGraph, mapping: &MappingTable) -> StandardCodeTable {
+    StandardCodeTable::from_counts(
+        (0..g.attr_count())
+            .map(|a| mapping.frequency(a as AttrId) as u64)
+            .collect(),
+    )
+}
+
+/// One coreset per attribute value that occurs (§IV-F Step 1).
+fn single_value_coresets(
+    g: &AttributedGraph,
+    mapping: &MappingTable,
+    st: &StandardCodeTable,
+) -> Vec<Coreset> {
+    (0..g.attr_count() as AttrId)
+        .filter(|&a| mapping.frequency(a) > 0)
+        .map(|a| Coreset {
+            items: vec![a],
+            code_len: st.code_len(a as usize),
+            positions: mapping.positions(a).to_vec(),
+        })
+        .collect()
+}
+
+/// Groups the stars of `centers` (ascending) by leaf value: `by_leaf[l]`
+/// receives, ascending, the centers with a neighbour carrying `l`, and
+/// `leaves` the values seen, ascending. Both must arrive empty.
+fn gather_stars(
+    g: &AttributedGraph,
+    centers: &[VertexId],
+    by_leaf: &mut [Vec<VertexId>],
+    leaves: &mut Vec<AttrId>,
+) {
+    for &v in centers {
+        for &u in g.neighbors(v) {
+            for &leaf in g.labels(u) {
+                let entry = &mut by_leaf[leaf as usize];
+                if entry.is_empty() {
+                    leaves.push(leaf);
+                }
+                if entry.last() != Some(&v) {
+                    entry.push(v);
+                }
+            }
+        }
+    }
+    leaves.sort_unstable();
+}
+
 /// The vertex→attribute transaction table used for multi-value coresets.
 fn vertex_transactions(g: &AttributedGraph) -> TransactionDb {
     TransactionDb::with_item_universe(
@@ -1359,10 +1416,7 @@ fn vertex_transactions(g: &AttributedGraph) -> TransactionDb {
 /// pattern used in the cover of a vertex's attribute set becomes a
 /// coreset occurrence at that vertex; its `CT_c` code length is the
 /// Shannon code of its usage.
-fn coresets_from_code_table(
-    ct: &cspm_itemset::CodeTable,
-    db: &TransactionDb,
-) -> Vec<(Vec<AttrId>, f64, Vec<VertexId>)> {
+fn coresets_from_code_table(ct: &cspm_itemset::CodeTable, db: &TransactionDb) -> Vec<Coreset> {
     let cover = ct.cover(db);
     let mut positions: Vec<Vec<VertexId>> = vec![Vec::new(); ct.len()];
     for (v, used) in cover.covers.iter().enumerate() {
@@ -1376,8 +1430,11 @@ fn coresets_from_code_table(
         if cover.usages[i] == 0 {
             continue;
         }
-        let code = -((cover.usages[i] as f64 / s).log2());
-        out.push((p.items().to_vec(), code, std::mem::take(&mut positions[i])));
+        out.push(Coreset {
+            items: p.items().to_vec(),
+            code_len: -((cover.usages[i] as f64 / s).log2()),
+            positions: std::mem::take(&mut positions[i]),
+        });
     }
     out
 }
@@ -1910,6 +1967,71 @@ mod tests {
         assert_eq!(stats, PatchStats::default());
         assert_eq!(digest(&db), before);
         assert!(db.is_pristine());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The row index survives every mutation path: random mines
+        /// under both schedules and both pricings (`merge` runs
+        /// `check_index` after every merge in test builds), a churn
+        /// patch, and a restore from rows fed in reverse order, which
+        /// must list its rows exactly as the build it came from.
+        #[test]
+        fn row_index_stays_consistent(
+            n in 4usize..160,
+            k in 2usize..16,
+            extra in 0usize..240,
+            seed in 0u64..10_000,
+        ) {
+            use crate::config::CspmConfig;
+            use crate::engine::{mine_with_policy, SchedulePolicy};
+            use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
+
+            let g = super::seed::tests::random_graph(n, k, extra, 0, seed);
+            for gain_policy in [GainPolicy::Total, GainPolicy::DataOnly] {
+                for policy in [SchedulePolicy::FullRegeneration, SchedulePolicy::Incremental] {
+                    let config = CspmConfig {
+                        gain_policy,
+                        threads: 1,
+                        full_regen_max_pairs: None,
+                        ..CspmConfig::default()
+                    };
+                    mine_with_policy(&g, policy, config).db.check_index();
+                }
+
+                let fresh = InvertedDb::build(&g, CoresetMode::SingleValue, gain_policy);
+                fresh.check_index();
+                let mut rows: Vec<_> =
+                    fresh.iter_rows().map(|(e, l, p)| (e, l, p.into_owned())).collect();
+                rows.reverse();
+                let restored = InvertedDb::from_pristine_rows(
+                    &g,
+                    gain_policy,
+                    rows.iter().map(|(e, l, p)| (*e, *l, p.as_slice())),
+                )
+                .unwrap();
+                rows.reverse();
+                let listed: Vec<_> =
+                    restored.iter_rows().map(|(e, l, p)| (e, l, p.into_owned())).collect();
+                proptest::prop_assert_eq!(listed, rows);
+
+                let v = |i: u64| ((seed + i * 7919) % n as u64) as u32;
+                let mut delta = GraphDelta::new();
+                delta.remove_edge(v(1), v(1) + 1);
+                delta.change_label(v(2), format!("a{}", seed % k as u64), "fresh");
+                let w = delta.add_vertex([format!("a{}", (seed + 1) % k as u64)]);
+                delta.add_edge(w, DeltaVertex::Existing(v(3)));
+                if let Ok(applied) = delta.apply(&g) {
+                    let mut patched = fresh.clone();
+                    match patched.apply_delta(&applied.graph, &applied.dirty_centers) {
+                        Ok(_) => patched.check_index(),
+                        Err(PatchError::VanishedAttribute(_)) => {}
+                        Err(e) => proptest::prop_assert!(false, "unexpected patch error: {e}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 use cspm_graph::VertexId;
 use cspm_mdl::xlog2x;
 
-use super::{union_items, InvertedDb, LeafsetId};
+use super::{union_items, CoresetId, InvertedDb, LeafsetId};
 use crate::config::GainPolicy;
 use crate::positions::RowId;
 
@@ -97,8 +97,6 @@ struct PairAcc {
 /// coreset's rows or positions and cleared between coresets.
 #[derive(Default)]
 struct Scratch {
-    /// The coreset's rows, ascending by leafset.
-    rows: Vec<(LeafsetId, RowId)>,
     /// Per row, its positions as indices into the coreset's positions.
     slots: Vec<u32>,
     /// `slots[row_offsets[i]..row_offsets[i + 1]]` belongs to row `i`.
@@ -139,15 +137,7 @@ impl InvertedDb {
     /// coresets) and sorted. Costs O(Σ_e n_e²) for `n_e` rows at
     /// coreset `e`, the number of `(pair, coreset)` sharings.
     pub fn pair_list(&self) -> PairList {
-        let mut member_offsets = Vec::with_capacity(self.rows.len() + 1);
-        let mut members: Vec<LeafsetId> = Vec::with_capacity(self.row_count());
-        member_offsets.push(0);
-        for m in &self.rows {
-            let start = members.len();
-            members.extend(m.keys().copied());
-            members[start..].sort_unstable();
-            member_offsets.push(members.len());
-        }
+        let members = self.rows_by_coreset();
         let n = self.leafsets.len();
         let mut stamp = vec![LeafsetId::MAX; n];
         let mut offsets = Vec::with_capacity(n + 1);
@@ -155,10 +145,10 @@ impl InvertedDb {
         offsets.push(0);
         for x in 0..n as LeafsetId {
             let start = partners.len();
-            for &e in &self.leafset_coresets[x as usize] {
-                let ms = &members[member_offsets[e as usize]..member_offsets[e as usize + 1]];
-                let later = ms.partition_point(|&y| y <= x);
-                for &y in &ms[later..] {
+            for &(e, _) in &self.leafset_rows[x as usize] {
+                let ms = members.of(e);
+                let later = ms.partition_point(|&(y, _)| y <= x);
+                for &(y, _) in &ms[later..] {
                     if stamp[y as usize] != x {
                         stamp[y as usize] = x;
                         partners.push(y);
@@ -211,17 +201,15 @@ impl InvertedDb {
             })
             .collect();
 
+        let by_coreset = self.rows_by_coreset();
         let mut s = Scratch::default();
         for e in 0..self.coresets.len() {
-            s.rows.clear();
-            s.rows
-                .extend(self.rows[e].iter().map(|(&lid, &row)| (lid, row)));
-            s.rows.sort_unstable_by_key(|&(lid, _)| lid);
-            let n = s.rows.len();
+            let rows = by_coreset.of(e as CoresetId);
+            let n = rows.len();
             if n < 2 {
                 continue;
             }
-            if !self.bucket_coreset(e, &mut s) {
+            if !self.bucket_coreset(e, rows, &mut s) {
                 return None;
             }
             let fe = self.coreset_freq[e] as f64;
@@ -254,15 +242,15 @@ impl InvertedDb {
                         s.count[j as usize] += 1;
                     }
                 }
-                let (x, xe) = (s.rows[i].0, row_len(&s, i));
+                let (x, xe) = (rows[i].0, row_len(&s, i));
                 let (base, partners) = pairs.partners_of(x);
                 let mut p = 0usize;
-                for j in i + 1..n {
+                for (j, &(y, _)) in rows.iter().enumerate().skip(i + 1) {
                     let xy = std::mem::take(&mut s.count[j]) as usize;
                     if xy == 0 && bound_eps.is_none() {
                         continue;
                     }
-                    let (y, ye) = (s.rows[j].0, row_len(&s, j));
+                    let ye = row_len(&s, j);
                     p = gallop(partners, p, y);
                     if partners.get(p) != Some(&y) {
                         return None; // `pairs` is not this database's list
@@ -326,20 +314,20 @@ impl InvertedDb {
         Some(SeedGains { gains, pruned })
     }
 
-    /// Buckets coreset `e`'s row positions (rows as sorted in
-    /// `s.rows`) by vertex: after this, `s.leaves[s.bucket[k]..s.bucket[k + 1]]`
+    /// Buckets the positions of coreset `e`'s `rows` (ascending by
+    /// leafset) by vertex: after this, `s.leaves[s.bucket[k]..s.bucket[k + 1]]`
     /// lists, ascending, the rows holding the coreset's `k`-th position,
     /// and `s.head` points at each bucket's start. Returns `false` if a
     /// row holds a vertex outside the coreset's positions, which only
     /// rows restored through [`Self::from_pristine_rows`] can.
-    fn bucket_coreset(&self, e: usize, s: &mut Scratch) -> bool {
+    fn bucket_coreset(&self, e: usize, rows: &[(LeafsetId, RowId)], s: &mut Scratch) -> bool {
         let at: &[VertexId] = &self.coresets[e].positions;
         s.bucket.clear();
         s.bucket.resize(at.len() + 1, 0);
         s.slots.clear();
         s.row_offsets.clear();
         s.row_offsets.push(0);
-        for &(_, row) in &s.rows {
+        for &(_, row) in rows {
             let positions = self.store.positions(row);
             let mut k = 0usize;
             for &v in positions.iter() {
@@ -360,7 +348,7 @@ impl InvertedDb {
         s.head.extend_from_slice(&s.bucket[..at.len()]);
         s.leaves.clear();
         s.leaves.resize(s.slots.len(), 0);
-        for i in 0..s.rows.len() {
+        for i in 0..rows.len() {
             for &k in &s.slots[s.row_offsets[i]..s.row_offsets[i + 1]] {
                 let h = &mut s.head[k as usize];
                 s.leaves[*h as usize] = i as u32;
@@ -373,7 +361,7 @@ impl InvertedDb {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use std::collections::BTreeSet;
 
     use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
@@ -390,7 +378,13 @@ mod tests {
     /// three of `k` values, plus `extra` xorshift chords. Large `n`
     /// grows the common values' rows long and dense enough to turn
     /// bitmap; large `k` adds rare values the Algorithm 2 bound prunes.
-    fn random_graph(n: usize, k: usize, extra: usize, pad: usize, seed: u64) -> AttributedGraph {
+    pub(crate) fn random_graph(
+        n: usize,
+        k: usize,
+        extra: usize,
+        pad: usize,
+        seed: u64,
+    ) -> AttributedGraph {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move || {
             state ^= state << 13;

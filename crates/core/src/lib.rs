@@ -18,7 +18,7 @@
 //! | Layer | Module | Role |
 //! |---|---|---|
 //! | storage | [`positions`] | sorted-slice set algebra + the flat [`PostingStore`] arena backing every row (+ [`PostingView`], its shared read-only snapshot; `compact()` repacks a fragmented arena) |
-//! | database | [`InvertedDb`] | §IV-B rows over the arena, exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`GainView`] scores candidates read-only (exact gain + the Algorithm 2 pruning bound) |
+//! | database | [`InvertedDb`] | §IV-B rows over the arena, indexed once per leafset as sorted `(coreset, row)` records (per-coreset passes read a derived transpose; [`InvertedDb::iter_rows`] lists ascending `(coreset, leafset)`), exact DL bookkeeping, the §IV-E merge, in-place graph-delta patching; [`GainView`] scores candidates read-only (exact gain + the Algorithm 2 pruning bound) |
 //! | engine | [`engine`] | the greedy merge loop + [`CandidateScheduler`]; Algorithm 1 and Algorithm 3 are its two [`SchedulePolicy`] values; candidate batches are scored across a scoped worker pool, deterministically at every thread count; a [`ProgressObserver`] rides along for per-merge callbacks and cancellation |
 //! | **sessions** | [`session`] | the primary API: a [`Miner`]-built [`MiningSession`] owns the database + arena across calls, absorbs [`GraphDelta`](cspm_graph::dynamic::GraphDelta)s incrementally, re-mines warm (bit-identically), and compacts the arena under pressure |
 //! | façade | [`cspm_basic`] / [`cspm_partial`] / [`mine`] / [`mine_dynamic`] | one-shot wrappers over a session |

@@ -281,14 +281,12 @@ pub struct DbSection {
 }
 
 impl DbSection {
-    /// Captures a pristine database's rows. Rows are written sorted by
-    /// `(coreset, leafset)` so equal databases serialize bit-identically
-    /// regardless of hash-map iteration order.
+    /// Captures a pristine database's rows in [`InvertedDb::iter_rows`]
+    /// order — ascending `(coreset, leafset)`, a function of the rows
+    /// alone — so equal databases serialize bit-identically.
     pub fn capture(db: &InvertedDb) -> Self {
-        let mut rows: Vec<_> = db.iter_rows().collect();
-        rows.sort_unstable_by_key(|&(e, l, _)| (e, l));
         let mut section = Self::default();
-        for (e, l, positions) in rows {
+        for (e, l, positions) in db.iter_rows() {
             let start = section.positions.len();
             section.positions.extend_from_slice(&positions);
             section.rows.push((e, l, start, section.positions.len()));
@@ -1203,5 +1201,62 @@ mod tests {
         assert_eq!(state.mode, Some(CoresetMode::Slim));
         assert!(state.db.is_none());
         assert!(state.db_note.is_none());
+    }
+
+    /// A fresh build, an `apply_delta`-patched database and a database
+    /// restored from rows fed in reverse order all hold the same rows,
+    /// so they must list them in the same order and serialize to the
+    /// same section bytes — with no sort on the capture path.
+    #[test]
+    fn equal_databases_list_and_capture_rows_identically() {
+        let n = 60u32;
+        let mut b = cspm_graph::GraphBuilder::new();
+        for i in 0..n {
+            b.add_vertex([format!("v{}", i % 11), format!("w{}", i % 7)]);
+        }
+        for i in 0..n {
+            let _ = b.add_edge(i, (i + 1) % n);
+            let _ = b.add_edge(i, (i * 5 + 3) % n);
+        }
+        let base = b.build().unwrap();
+        let mut delta = GraphDelta::new();
+        let v = delta.add_vertex(["v3", "fresh"]);
+        delta.add_edge(v, cspm_graph::dynamic::DeltaVertex::Existing(4));
+        delta.change_label(9, "w2", "w5");
+        delta.remove_edge(20, 21);
+        let applied = delta.apply(&base).unwrap();
+        let g = &applied.graph;
+
+        let fresh = InvertedDb::build(g, CoresetMode::SingleValue, GainPolicy::Total);
+        let mut patched = InvertedDb::build(&base, CoresetMode::SingleValue, GainPolicy::Total);
+        patched.apply_delta(g, &applied.dirty_centers).unwrap();
+        let mut reversed: Vec<_> = fresh
+            .iter_rows()
+            .map(|(e, l, p)| (e, l, p.into_owned()))
+            .collect();
+        reversed.reverse();
+        let restored = InvertedDb::from_pristine_rows(
+            g,
+            GainPolicy::Total,
+            reversed.iter().map(|(e, l, p)| (*e, *l, p.as_slice())),
+        )
+        .unwrap();
+
+        let listed = |db: &InvertedDb| -> Vec<(u32, u32, Vec<u32>)> {
+            db.iter_rows()
+                .map(|(e, l, p)| (e, l, p.into_owned()))
+                .collect()
+        };
+        let captured = |db: &InvertedDb| {
+            let mut bytes = Vec::new();
+            DbSection::capture(db).encode(&mut bytes);
+            bytes
+        };
+        let want = listed(&fresh);
+        assert!(want.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+        for (name, db) in [("patched", &patched), ("restored", &restored)] {
+            assert_eq!(listed(db), want, "{name}: iter_rows order");
+            assert_eq!(captured(db), captured(&fresh), "{name}: DbSection bytes");
+        }
     }
 }
