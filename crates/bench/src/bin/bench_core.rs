@@ -19,8 +19,9 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use cspm_bench::fmt_secs;
-use cspm_core::engine::{run_on_db, SchedulePolicy};
-use cspm_core::{CoresetMode, CspmConfig, CspmResult, InvertedDb, PostingPolicy};
+use cspm_core::{
+    CoresetMode, CspmConfig, CspmResult, InvertedDb, Miner, PostingPolicy, SchedulePolicy,
+};
 use cspm_datasets::{dblp_like, pokec_like, usflight_like, Dataset, Scale};
 
 struct Run {
@@ -94,7 +95,7 @@ fn main() {
                     posting,
                 );
                 let mine = Instant::now();
-                let result = run_on_db(db, policy, config);
+                let result = Miner::from_config(config).policy(policy).run(db);
                 let mine_secs = mine.elapsed().as_secs_f64();
                 let wall_secs = wall.elapsed().as_secs_f64();
                 let p = result.stats.posting;

@@ -6,8 +6,8 @@
 //!              [--input FILE]… [--format pokec|dblp|usflight|native|auto]
 //! ```
 //!
-//! Measures, per dataset: the posting-store replay (flat arena vs the
-//! seed's HashMap-row baseline over an identical merge schedule — see
+//! Measures, per dataset: the posting-store replay (the flat arena's
+//! row mutations over a fixed merge schedule — see
 //! `cspm_bench::enginebench`), `seed_scores` (sharing-pair enumeration
 //! plus batch seed scoring on the pristine database, the work before
 //! the first merge), the engine's two scheduling policies
@@ -49,8 +49,7 @@ use std::time::Instant;
 
 use cspm_bench::enginebench::MergeWorkload;
 use cspm_bench::fmt_secs;
-use cspm_core::engine::{run_on_db, SchedulePolicy};
-use cspm_core::{CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner};
+use cspm_core::{CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, SchedulePolicy};
 use cspm_datasets::{dblp_like, pokec_like, usflight_like, Dataset, Scale};
 use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm_graph::AttributedGraph;
@@ -221,27 +220,15 @@ fn main() {
         println!("== {} ({n} vertices, {m} edges, {a} attrs) ==", d.name);
 
         let w = MergeWorkload::from_graph(&d.graph);
-        assert_eq!(
-            w.replay_flat(),
-            w.replay_hashmap(),
-            "backends must do identical work"
-        );
         let flat = median_secs(reps, || w.replay_flat());
-        let hash = median_secs(reps, || w.replay_hashmap());
         println!(
-            "  posting store replay ({} merges): flat {} vs hashmap-rows {} ({:.2}x)",
+            "  posting store replay ({} merges): {}",
             w.merge_count(),
-            fmt_secs(flat),
-            fmt_secs(hash),
-            hash / flat
+            fmt_secs(flat)
         );
         records.push(Record {
             name: format!("{}/replay_flat", d.name),
             secs: flat,
-        });
-        records.push(Record {
-            name: format!("{}/replay_hashmap_rows", d.name),
-            secs: hash,
         });
 
         let db = InvertedDb::build(&d.graph, CoresetMode::SingleValue, GainPolicy::Total);
@@ -281,7 +268,7 @@ fn main() {
                 reps,
                 || db.clone(),
                 |db| {
-                    let res = run_on_db(db, policy, config);
+                    let res = Miner::from_config(config).policy(policy).run(db);
                     delegated = res.stats.delegated;
                     evals = res.stats.total_gain_evals;
                     pruned = res.stats.pruned_pairs;
@@ -306,11 +293,9 @@ fn main() {
         // Thread sweep over the incremental merge loop: scoring fans
         // out across scoped workers; results are bit-identical at every
         // count (asserted against the single-thread reference).
-        let reference = run_on_db(
-            db.clone(),
-            SchedulePolicy::Incremental,
-            CspmConfig::default().with_threads(1),
-        );
+        let reference = Miner::from_config(CspmConfig::default().with_threads(1))
+            .policy(SchedulePolicy::Incremental)
+            .run(db.clone());
         for threads in [1usize, 2, 4, 8] {
             let config = CspmConfig::default().with_threads(threads);
             let mut final_dl = f64::NAN;
@@ -318,7 +303,9 @@ fn main() {
                 reps,
                 || db.clone(),
                 |db| {
-                    let res = run_on_db(db, SchedulePolicy::Incremental, config);
+                    let res = Miner::from_config(config)
+                        .policy(SchedulePolicy::Incremental)
+                        .run(db);
                     final_dl = res.final_dl;
                     res
                 },
@@ -438,11 +425,13 @@ fn main() {
                 ));
             }
         });
-        let warm_final = driven
-            .take()
-            .expect("at least one timed drive ran")
-            .run_detached()
-            .expect("driven session mines");
+        let driven = driven.take().expect("at least one timed drive ran");
+        let warm_final = Miner::new().run(
+            driven
+                .pristine_db()
+                .expect("driven session holds its patched database")
+                .clone(),
+        );
         let cold_final = Miner::new().build().mine(step_graphs.last().unwrap());
         assert_eq!(
             warm_final.final_dl.to_bits(),

@@ -1,24 +1,14 @@
 //! Storage-layer benchmark harness for the mining engine.
 //!
-//! The PR that introduced the flat [`PostingStore`] replaced the seed's
-//! `HashMap<LeafsetId, Vec<VertexId>>` row store, in which every merge
-//! allocated fresh vectors for intersections and unions. To measure
-//! exactly that swap (and to keep the old shape honest as a baseline),
-//! this module extracts a *storage-agnostic merge workload* from a real
+//! This module extracts a *storage-agnostic merge workload* from a real
 //! inverted database — the initial rows plus a deterministic merge
-//! schedule — and replays the §IV-E storage mutations on either backend:
-//!
-//! * [`MergeWorkload::replay_flat`] — arena spans, in-place difference
-//!   and union, free-list reuse;
-//! * [`MergeWorkload::replay_hashmap`] — the seed's allocation-heavy
-//!   row shape, one heap `Vec` per row, rebuilt on every union.
-//!
-//! Both replays perform the identical logical work and return the same
-//! checksum, so their wall-clock difference isolates the storage layer.
+//! schedule — and replays the §IV-E storage mutations on the flat
+//! [`PostingStore`] arena ([`MergeWorkload::replay_flat`]: arena spans,
+//! in-place difference and union, free-list reuse), so the storage
+//! layer can be timed apart from gain scoring and scheduling.
 
 use std::collections::HashMap;
 
-use cspm_core::positions::{difference_inplace, intersect, union};
 use cspm_core::{CoresetMode, GainPolicy, InvertedDb, PostingStore};
 use cspm_graph::{AttributedGraph, VertexId};
 
@@ -76,8 +66,6 @@ impl MergeWorkload {
         let mut common = Vec::new();
         for &(x, y, n) in &self.schedule {
             for map in maps.iter_mut() {
-                // Short-circuit lookups, mirrored by `replay_hashmap` —
-                // the drivers must only differ in the storage layer.
                 let Some(&rx) = map.get(&x) else { continue };
                 let Some(&ry) = map.get(&y) else { continue };
                 store.intersect_into(rx, ry, &mut common);
@@ -106,45 +94,6 @@ impl MergeWorkload {
             .map(|&r| store.positions(r).iter().map(|&v| v as u64).sum::<u64>())
             .sum()
     }
-
-    /// Replays the schedule on the seed's `HashMap<LeafsetId, Vec<_>>`
-    /// row shape (fresh allocations per intersection and union), for
-    /// comparison. Returns the same checksum as [`Self::replay_flat`].
-    pub fn replay_hashmap(&self) -> u64 {
-        let mut maps: Vec<HashMap<u32, Vec<VertexId>>> = vec![HashMap::new(); self.n_coresets];
-        for (e, l, p) in &self.rows {
-            maps[*e as usize].insert(*l, p.clone());
-        }
-        for &(x, y, n) in &self.schedule {
-            for map in maps.iter_mut() {
-                let common = {
-                    let Some(px) = map.get(&x) else { continue };
-                    let Some(py) = map.get(&y) else { continue };
-                    intersect(px, py)
-                };
-                if common.is_empty() {
-                    continue;
-                }
-                for parent in [x, y] {
-                    let row = map.get_mut(&parent).expect("parent row present");
-                    difference_inplace(row, &common);
-                    if row.is_empty() {
-                        map.remove(&parent);
-                    }
-                }
-                match map.get_mut(&n) {
-                    Some(row) => *row = union(row, &common),
-                    None => {
-                        map.insert(n, common);
-                    }
-                }
-            }
-        }
-        maps.iter()
-            .flat_map(|m| m.values())
-            .map(|row| row.iter().map(|&v| v as u64).sum::<u64>())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -152,18 +101,23 @@ mod tests {
     use super::*;
     use cspm_datasets::{dblp_like, Scale};
 
+    // The expected checksums were produced by the `HashMap`-row
+    // reference replay this harness used to compare against (one heap
+    // `Vec` per row, rebuilt on every union), which agreed with
+    // `replay_flat` on both fixtures.
+
     #[test]
     fn backends_do_identical_work() {
         let d = dblp_like(Scale::Tiny, 7);
         let w = MergeWorkload::from_graph(&d.graph);
         assert!(w.merge_count() > 0);
-        assert_eq!(w.replay_flat(), w.replay_hashmap());
+        assert_eq!(w.replay_flat(), 4220);
     }
 
     #[test]
     fn paper_example_checksums_agree() {
         let (g, _) = cspm_graph::fixtures::paper_example();
         let w = MergeWorkload::from_graph(&g);
-        assert_eq!(w.replay_flat(), w.replay_hashmap());
+        assert_eq!(w.replay_flat(), 15);
     }
 }

@@ -104,7 +104,7 @@ pub fn verify_lossless(g: &AttributedGraph, db: &InvertedDb) -> Vec<LossError> {
 mod tests {
     use super::*;
     use crate::config::{CoresetMode, CspmConfig, GainPolicy};
-    use crate::{cspm_basic, cspm_partial};
+    use crate::{Miner, SchedulePolicy};
     use cspm_graph::fixtures::{labelled_path, paper_example};
 
     #[test]
@@ -118,8 +118,12 @@ mod tests {
     fn converged_db_is_lossless_both_variants() {
         let (g, _) = paper_example();
         for result in [
-            cspm_basic(&g, CspmConfig::default()),
-            cspm_partial(&g, CspmConfig::default()),
+            Miner::from_config(CspmConfig::default())
+                .policy(SchedulePolicy::FullRegeneration)
+                .mine(&g),
+            Miner::from_config(CspmConfig::default())
+                .policy(SchedulePolicy::Incremental)
+                .mine(&g),
         ] {
             let errors = verify_lossless(&g, &result.db);
             assert!(errors.is_empty(), "loss after mining: {errors:?}");
@@ -129,7 +133,7 @@ mod tests {
     #[test]
     fn lossless_on_path_fixture() {
         let g = labelled_path(12, 3);
-        let result = cspm_partial(&g, CspmConfig::default());
+        let result = Miner::from_config(CspmConfig::default()).mine(&g);
         assert!(verify_lossless(&g, &result.db).is_empty());
     }
 
@@ -249,7 +253,7 @@ mod tests {
         assert!(missing && spurious, "both kinds of loss must be exercised");
 
         // A merged database against graphs it does not describe.
-        let mined = cspm_partial(&g, CspmConfig::default());
+        let mined = Miner::from_config(CspmConfig::default()).mine(&g);
         assert!(mined.merges > 0);
         for other in [
             labelled_path(40, 3),

@@ -2,32 +2,27 @@
 //! paper): a-stars over a sequence of snapshots.
 //!
 //! Dynamic mining dispatches through the same unified engine, so the
-//! scheduling knobs of [`CspmConfig`] — scoring `threads` and the
+//! scheduling knobs of the given [`Miner`] — scoring `threads` and the
 //! full-regeneration delegation threshold — apply here unchanged, and
 //! results stay bit-identical at any thread count.
 //!
-//! Since the session redesign, [`mine_dynamic`] is itself a thin
-//! wrapper over a [`MiningSession`](crate::MiningSession): the
-//! sequence is replayed snapshot by snapshot as
+//! [`mine_dynamic`] replays the sequence snapshot by snapshot as
 //! [`GraphDelta`](cspm_graph::dynamic::GraphDelta)s
-//! ([`SnapshotSequence::replay`]) and mined once through a session.
-//! The mined model is bit-identical to running CSPM on
-//! [`SnapshotSequence::union_graph`] directly. A one-shot call has no
-//! retained model to keep warm — callers who keep mining as snapshots
-//! *arrive* should hold a session of their own and feed it deltas
+//! ([`SnapshotSequence::replay`]) into the union graph and mines it
+//! once with [`Miner::mine`]. The mined model is bit-identical to
+//! running CSPM on [`SnapshotSequence::union_graph`] directly. A
+//! one-shot call has no retained model to keep warm — callers who keep
+//! mining as snapshots *arrive* should hold a session of their own and
+//! feed it deltas
 //! ([`MiningSession::apply_delta`](crate::MiningSession::apply_delta));
 //! that is the warm path whose equivalence this function's replay
 //! semantics guarantee.
 
-use std::time::Instant;
-
 use cspm_graph::dynamic::SnapshotSequence;
 use cspm_graph::VertexId;
 
-use crate::config::CspmConfig;
 use crate::engine::CspmResult;
 use crate::session::Miner;
-use crate::Variant;
 
 /// A mined a-star with its occurrences resolved to `(snapshot, vertex)`
 /// coordinates.
@@ -52,35 +47,26 @@ pub struct DynamicResult {
 }
 
 /// Mines a snapshot sequence by replaying it, snapshot by snapshot, as
-/// graph deltas into one [`MiningSession`](crate::MiningSession), then
-/// mapping the positions of every mined a-star back to
+/// graph deltas into the union graph, mining that once with `miner`,
+/// then mapping the positions of every mined a-star back to
 /// `(snapshot, vertex)` coordinates. Equivalent to (and bit-identical
-/// with) mining [`SnapshotSequence::union_graph`] in one shot.
-pub fn mine_dynamic(seq: &SnapshotSequence, variant: Variant, config: CspmConfig) -> DynamicResult {
-    let mut session = Miner::from_config(config).variant(variant).build();
+/// with) `miner.mine(&seq.union_graph())`.
+pub fn mine_dynamic(seq: &SnapshotSequence, miner: Miner) -> DynamicResult {
+    // `Miner::mine` charges database construction + merge loop to
+    // `elapsed_secs`; assembling the union graph happens before its
+    // timer, preserving the RunStats contract that graph construction
+    // is excluded.
     let result = match seq.replay() {
-        // `session.mine` charges database construction + merge loop to
-        // `elapsed_secs`; building the (empty) union graph happens
-        // before its timer, preserving the RunStats contract that
-        // graph construction is excluded.
-        None => session.mine(&seq.union_graph()),
-        Some((mut graph, deltas)) => {
+        None => miner.mine(&seq.union_graph()),
+        Some((mut union, deltas)) => {
             // Assemble the union by replaying each snapshot as a graph
-            // delta — O(snapshot) apiece, linear in the union overall —
-            // *outside* the timer: `RunStats::elapsed_secs` excludes
-            // graph construction, like every other entry point.
+            // delta — O(snapshot) apiece, linear in the union overall.
             for delta in &deltas {
                 delta
-                    .apply_in_place(&mut graph)
+                    .apply_in_place(&mut union)
                     .expect("replayed snapshot deltas always apply");
             }
-            let started = Instant::now();
-            session.load_owned(graph);
-            let mut r = session
-                .run_detached()
-                .expect("session was loaded with the replayed union");
-            r.stats.elapsed_secs = started.elapsed().as_secs_f64();
-            r
+            miner.mine(&union)
         }
     };
     let temporal = result
@@ -117,6 +103,8 @@ impl DynamicResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CspmConfig;
+    use crate::engine::SchedulePolicy;
     use cspm_graph::GraphBuilder;
 
     /// Three snapshots, each containing the hub pattern core->{p,q}.
@@ -143,7 +131,7 @@ mod tests {
     #[test]
     fn recurring_pattern_has_full_snapshot_support() {
         let seq = recurring_sequence();
-        let dyn_res = mine_dynamic(&seq, Variant::Partial, CspmConfig::default());
+        let dyn_res = mine_dynamic(&seq, Miner::from_config(CspmConfig::default()));
         assert!(dyn_res.result.merges >= 1);
         // The merged {p,q} pattern must recur in all 3 snapshots.
         let model = &dyn_res.result.model;
@@ -163,14 +151,12 @@ mod tests {
         let seq = recurring_sequence();
         let base = mine_dynamic(
             &seq,
-            Variant::Partial,
-            CspmConfig::default().with_threads(1),
+            Miner::from_config(CspmConfig::default().with_threads(1)),
         );
         for threads in [2, 8] {
             let run = mine_dynamic(
                 &seq,
-                Variant::Partial,
-                CspmConfig::default().with_threads(threads),
+                Miner::from_config(CspmConfig::default().with_threads(threads)),
             );
             assert_eq!(base.result.final_dl, run.result.final_dl);
             assert_eq!(base.result.merges, run.result.merges);
@@ -184,13 +170,13 @@ mod tests {
     #[test]
     fn delta_replay_matches_union_graph_mining() {
         let seq = recurring_sequence();
-        for variant in [Variant::Basic, Variant::Partial] {
-            let replayed = mine_dynamic(&seq, variant, CspmConfig::default());
-            let direct = crate::engine::mine_with_policy(
-                &seq.union_graph(),
-                variant.policy(),
-                CspmConfig::default(),
-            );
+        for policy in [
+            SchedulePolicy::FullRegeneration,
+            SchedulePolicy::Incremental,
+        ] {
+            let miner = Miner::from_config(CspmConfig::default()).policy(policy);
+            let replayed = mine_dynamic(&seq, miner);
+            let direct = miner.mine(&seq.union_graph());
             assert_eq!(replayed.result.final_dl, direct.final_dl);
             assert_eq!(replayed.result.merges, direct.merges);
             assert_eq!(
@@ -203,7 +189,7 @@ mod tests {
     #[test]
     fn empty_sequence_mines_empty_model() {
         let seq = SnapshotSequence::new();
-        let res = mine_dynamic(&seq, Variant::Partial, CspmConfig::default());
+        let res = mine_dynamic(&seq, Miner::from_config(CspmConfig::default()));
         assert_eq!(res.result.merges, 0);
         assert!(res.temporal.is_empty());
     }
@@ -211,7 +197,10 @@ mod tests {
     #[test]
     fn occurrences_map_back_to_local_vertices() {
         let seq = recurring_sequence();
-        let dyn_res = mine_dynamic(&seq, Variant::Basic, CspmConfig::default());
+        let dyn_res = mine_dynamic(
+            &seq,
+            Miner::from_config(CspmConfig::default()).policy(SchedulePolicy::FullRegeneration),
+        );
         for t in &dyn_res.temporal {
             for &(s, v) in &t.occurrences {
                 assert!(s < seq.len());

@@ -82,7 +82,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::ControlFlow;
 use std::time::Instant;
 
-use cspm_graph::AttributedGraph;
 use cspm_mdl::OrdF64;
 
 use crate::config::{CspmConfig, IterationStat, RunStats};
@@ -274,44 +273,9 @@ impl CandidateScheduler {
     }
 }
 
-/// Runs the engine on an attributed graph.
-///
-/// A thin wrapper over a one-shot [`MiningSession`](crate::MiningSession)
-/// — equivalent to `Miner::from_config(config).policy(policy).build()`
-/// followed by [`mine`](crate::MiningSession::mine), minus the state
-/// retention. Keep the session instead when you expect graph deltas or
-/// want progress callbacks.
-pub fn mine_with_policy(
-    g: &AttributedGraph,
-    policy: SchedulePolicy,
-    config: CspmConfig,
-) -> CspmResult {
-    let started = Instant::now();
-    let db = InvertedDb::build(g, config.coreset_mode, config.gain_policy);
-    let mut result = run_on_db(db, policy, config);
-    result.stats.elapsed_secs = started.elapsed().as_secs_f64();
-    result
-}
-
-/// Runs the greedy merge loop on a pre-built inverted database — the
-/// shared core of CSPM-Basic, CSPM-Partial, dynamic mining and the
-/// session API. Exposed so benchmarks can time the merge loop apart
-/// from database construction.
-///
-/// A thin wrapper over a one-shot session adopting `db` (see
-/// [`MiningSession::adopt_db`](crate::MiningSession::adopt_db)); unlike
-/// a retained session it consumes the database and keeps nothing warm.
-pub fn run_on_db(db: InvertedDb, policy: SchedulePolicy, config: CspmConfig) -> CspmResult {
-    let mut session = crate::session::Miner::from_config(config)
-        .policy(policy)
-        .build();
-    session.adopt_db(db);
-    session.run_detached().expect("session was just loaded")
-}
-
 /// The merge loop itself (Algorithm 1 / Algorithm 3), with a progress
-/// observer threaded through; every public mining entry point funnels
-/// here.
+/// observer threaded through; every mining entry point (`Miner::mine`,
+/// `Miner::run` and the `MiningSession` methods) funnels here.
 pub(crate) fn run_loop(
     mut db: InvertedDb,
     policy: SchedulePolicy,
@@ -747,7 +711,9 @@ fn best_pair_parallel(
 mod tests {
     use super::*;
     use crate::config::{CoresetMode, GainPolicy};
+    use crate::session::Miner;
     use cspm_graph::fixtures::paper_example;
+    use cspm_graph::GraphBuilder;
 
     #[test]
     fn scheduler_invariants() {
@@ -791,8 +757,12 @@ mod tests {
             gain_policy: GainPolicy::DataOnly,
             ..Default::default()
         };
-        let full = mine_with_policy(&g, SchedulePolicy::FullRegeneration, cfg);
-        let inc = mine_with_policy(&g, SchedulePolicy::Incremental, cfg);
+        let full = Miner::from_config(cfg)
+            .policy(SchedulePolicy::FullRegeneration)
+            .mine(&g);
+        let inc = Miner::from_config(cfg)
+            .policy(SchedulePolicy::Incremental)
+            .mine(&g);
         assert!((full.final_dl - inc.final_dl).abs() < 1e-6);
         assert_eq!(full.merges, inc.merges);
         assert!(full.final_dl <= full.initial_dl);
@@ -805,7 +775,9 @@ mod tests {
             SchedulePolicy::FullRegeneration,
             SchedulePolicy::Incremental,
         ] {
-            let res = mine_with_policy(&g, policy, CspmConfig::instrumented());
+            let res = Miner::from_config(CspmConfig::instrumented())
+                .policy(policy)
+                .mine(&g);
             assert!(res.final_dl <= res.initial_dl + 1e-9);
             let mut prev = res.initial_dl;
             for it in &res.stats.iterations {
@@ -816,11 +788,15 @@ mod tests {
     }
 
     #[test]
-    fn run_on_db_matches_mine_with_policy() {
+    fn run_on_prebuilt_db_matches_mine() {
         let (g, _) = paper_example();
         let db = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total);
-        let via_db = run_on_db(db, SchedulePolicy::Incremental, CspmConfig::default());
-        let via_graph = mine_with_policy(&g, SchedulePolicy::Incremental, CspmConfig::default());
+        let via_db = Miner::from_config(CspmConfig::default())
+            .policy(SchedulePolicy::Incremental)
+            .run(db);
+        let via_graph = Miner::from_config(CspmConfig::default())
+            .policy(SchedulePolicy::Incremental)
+            .mine(&g);
         assert_eq!(via_db.merges, via_graph.merges);
         assert!((via_db.final_dl - via_graph.final_dl).abs() < 1e-12);
     }
@@ -1023,10 +999,14 @@ mod tests {
             full_regen_max_pairs: Some(0), // everything is "too large"
             ..Default::default()
         };
-        let res = mine_with_policy(&g, SchedulePolicy::FullRegeneration, strict);
+        let res = Miner::from_config(strict)
+            .policy(SchedulePolicy::FullRegeneration)
+            .mine(&g);
         assert!(res.stats.delegated, "run must record the delegation");
         // The delegated run is exactly the incremental run.
-        let inc = mine_with_policy(&g, SchedulePolicy::Incremental, CspmConfig::default());
+        let inc = Miner::from_config(CspmConfig::default())
+            .policy(SchedulePolicy::Incremental)
+            .mine(&g);
         assert_eq!(res.final_dl, inc.final_dl);
         assert_eq!(res.merges, inc.merges);
         // Delegation disabled: the policy is honoured no matter the size.
@@ -1034,7 +1014,9 @@ mod tests {
             full_regen_max_pairs: None,
             ..Default::default()
         };
-        let res = mine_with_policy(&g, SchedulePolicy::FullRegeneration, honoured);
+        let res = Miner::from_config(honoured)
+            .policy(SchedulePolicy::FullRegeneration)
+            .mine(&g);
         assert!(!res.stats.delegated);
     }
 
@@ -1045,9 +1027,13 @@ mod tests {
             SchedulePolicy::FullRegeneration,
             SchedulePolicy::Incremental,
         ] {
-            let base = mine_with_policy(&g, policy, CspmConfig::default().with_threads(1));
+            let base = Miner::from_config(CspmConfig::default().with_threads(1))
+                .policy(policy)
+                .mine(&g);
             for threads in [2, 4, 8] {
-                let run = mine_with_policy(&g, policy, CspmConfig::default().with_threads(threads));
+                let run = Miner::from_config(CspmConfig::default().with_threads(threads))
+                    .policy(policy)
+                    .mine(&g);
                 assert_eq!(
                     base.final_dl, run.final_dl,
                     "{policy:?} @ {threads} threads"
@@ -1065,5 +1051,185 @@ mod tests {
         assert_eq!(better(Some((3, 4, 1.0)), (1, 2, 1.0)), Some((1, 2, 1.0)));
         assert_eq!(better(Some((1, 2, 1.0)), (3, 4, 1.0)), Some((1, 2, 1.0)));
         assert_eq!(better(Some((1, 2, 1.0)), (3, 4, 2.0)), Some((3, 4, 2.0)));
+    }
+
+    #[test]
+    fn converges_on_paper_example() {
+        let (g, at) = paper_example();
+        let res = Miner::from_config(CspmConfig {
+            gain_policy: GainPolicy::DataOnly,
+            ..CspmConfig::instrumented()
+        })
+        .policy(SchedulePolicy::FullRegeneration)
+        .mine(&g);
+        assert!(res.final_dl <= res.initial_dl + 1e-9);
+        // §IV-E: merging {b} and {c} compresses the example database, so
+        // at least one merge happens and a {b,c} leafset pattern exists.
+        assert!(res.merges >= 1);
+        let has_bc = res
+            .model
+            .astars()
+            .iter()
+            .any(|m| m.astar.leafset() == [at.b.min(at.c), at.b.max(at.c)]);
+        assert!(has_bc, "expected a ({{a}},{{b,c}})-style pattern");
+    }
+
+    #[test]
+    fn dl_trace_is_monotone_decreasing() {
+        let (g, _) = paper_example();
+        let res = Miner::from_config(CspmConfig::instrumented())
+            .policy(SchedulePolicy::FullRegeneration)
+            .mine(&g);
+        let mut prev = res.initial_dl;
+        for it in &res.stats.iterations {
+            assert!(it.dl_after < prev + 1e-9, "DL must never increase");
+            assert!(it.accepted_gain > 0.0);
+            assert!(it.update_ratio() <= 1.0);
+            prev = it.dl_after;
+        }
+        assert!((prev - res.final_dl).abs() < 1e-9);
+    }
+
+    /// Planted-pattern graph: hub vertices labelled "core" whose leaves
+    /// carry l0 and l1 together; CSPM must merge {l0} and {l1}.
+    #[test]
+    fn discovers_planted_leafset() {
+        let mut b = GraphBuilder::new();
+        let mut prev_hub = None;
+        for h in 0..12 {
+            let hub = b.add_vertex(["core"]);
+            let u = b.add_vertex(["l0"]);
+            let w = b.add_vertex(["l1"]);
+            b.add_edge(hub, u).unwrap();
+            b.add_edge(hub, w).unwrap();
+            if let Some(p) = prev_hub {
+                b.add_edge(p, hub).unwrap();
+            }
+            prev_hub = Some(hub);
+            let _ = h;
+        }
+        let g = b.build().unwrap();
+        let res = Miner::from_config(CspmConfig::default())
+            .policy(SchedulePolicy::FullRegeneration)
+            .mine(&g);
+        assert!(res.merges >= 1);
+        let l0 = g.attrs().get("l0").unwrap();
+        let l1 = g.attrs().get("l1").unwrap();
+        // The planted correlation must surface: some mined leafset carries
+        // l0 and l1 together (further merges may grow it, e.g. adding the
+        // hub's own "core" value seen through hub–hub edges).
+        let planted = res
+            .model
+            .astars()
+            .iter()
+            .find(|m| m.astar.leafset().contains(&l0) && m.astar.leafset().contains(&l1));
+        assert!(planted.is_some(), "planted {{l0,l1}} correlation not found");
+        // A merged (multi-leaf) pattern should rank among the most
+        // informative entries of the model.
+        let rank = res
+            .model
+            .astars()
+            .iter()
+            .position(|m| m.astar.leafset().len() >= 2)
+            .unwrap();
+        assert!(rank < 10, "planted pattern ranked too low: {rank}");
+    }
+
+    #[test]
+    fn max_merges_cap_is_respected() {
+        let (g, _) = paper_example();
+        let res = Miner::from_config(CspmConfig {
+            max_merges: Some(0),
+            ..Default::default()
+        })
+        .policy(SchedulePolicy::FullRegeneration)
+        .mine(&g);
+        assert_eq!(res.merges, 0);
+        assert!((res.final_dl - res.initial_dl).abs() < 1e-12);
+    }
+
+    #[test]
+    fn partial_matches_basic_on_paper_example() {
+        let (g, _) = paper_example();
+        let cfg = CspmConfig {
+            gain_policy: GainPolicy::DataOnly,
+            ..Default::default()
+        };
+        let b = Miner::from_config(cfg)
+            .policy(SchedulePolicy::FullRegeneration)
+            .mine(&g);
+        let p = Miner::from_config(cfg)
+            .policy(SchedulePolicy::Incremental)
+            .mine(&g);
+        assert!(
+            (b.final_dl - p.final_dl).abs() < 1e-6,
+            "basic {} vs partial {}",
+            b.final_dl,
+            p.final_dl
+        );
+        assert_eq!(b.merges, p.merges);
+    }
+
+    #[test]
+    fn dl_is_monotone() {
+        let (g, _) = paper_example();
+        let res = Miner::from_config(CspmConfig::instrumented())
+            .policy(SchedulePolicy::Incremental)
+            .mine(&g);
+        let mut prev = res.initial_dl;
+        for it in &res.stats.iterations {
+            assert!(it.dl_after < prev + 1e-9);
+            prev = it.dl_after;
+        }
+    }
+
+    #[test]
+    fn partial_spends_fewer_gain_evals_than_basic() {
+        // Build a graph with several independent planted patterns so both
+        // algorithms run multiple iterations.
+        let mut b = GraphBuilder::new();
+        let mut prev = None;
+        for i in 0..30 {
+            let hub = b.add_vertex([format!("core{}", i % 3)]);
+            let u = b.add_vertex([format!("p{}", i % 3)]);
+            let w = b.add_vertex([format!("q{}", i % 3)]);
+            b.add_edge(hub, u).unwrap();
+            b.add_edge(hub, w).unwrap();
+            if let Some(p) = prev {
+                b.add_edge(p, hub).unwrap();
+            }
+            prev = Some(hub);
+        }
+        let g = b.build().unwrap();
+        let basic = Miner::from_config(CspmConfig::instrumented())
+            .policy(SchedulePolicy::FullRegeneration)
+            .mine(&g);
+        let partial = Miner::from_config(CspmConfig::instrumented())
+            .policy(SchedulePolicy::Incremental)
+            .mine(&g);
+        assert!(
+            basic.merges >= 2,
+            "expected several merges, got {}",
+            basic.merges
+        );
+        assert!(
+            partial.stats.total_gain_evals < basic.stats.total_gain_evals,
+            "partial {} evals vs basic {}",
+            partial.stats.total_gain_evals,
+            basic.stats.total_gain_evals
+        );
+        // Both reach equally good models on this clean instance.
+        assert!((basic.final_dl - partial.final_dl).abs() / basic.final_dl < 0.05);
+    }
+
+    #[test]
+    fn update_ratio_stays_below_one_after_warmup() {
+        let (g, _) = paper_example();
+        let res = Miner::from_config(CspmConfig::instrumented())
+            .policy(SchedulePolicy::Incremental)
+            .mine(&g);
+        for it in &res.stats.iterations {
+            assert!(it.update_ratio() <= 1.0);
+        }
     }
 }

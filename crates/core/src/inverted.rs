@@ -1985,7 +1985,8 @@ mod tests {
             seed in 0u64..10_000,
         ) {
             use crate::config::CspmConfig;
-            use crate::engine::{mine_with_policy, SchedulePolicy};
+            use crate::engine::SchedulePolicy;
+            use crate::session::Miner;
             use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
 
             let g = super::seed::tests::random_graph(n, k, extra, 0, seed);
@@ -1997,7 +1998,7 @@ mod tests {
                         full_regen_max_pairs: None,
                         ..CspmConfig::default()
                     };
-                    mine_with_policy(&g, policy, config).db.check_index();
+                    Miner::from_config(config).policy(policy).mine(&g).db.check_index();
                 }
 
                 let fresh = InvertedDb::build(&g, CoresetMode::SingleValue, gain_policy);

@@ -113,7 +113,7 @@ mod tests {
         let before = engine_metrics().runs.get();
         let merges_before = engine_metrics().merges.get();
         let (g, _) = paper_example();
-        let result = crate::mine(&g, crate::Variant::Partial, crate::CspmConfig::default());
+        let result = crate::Miner::from_config(crate::CspmConfig::default()).mine(&g);
         assert!(result.merges > 0);
         let m = engine_metrics();
         assert!(m.runs.get() > before);

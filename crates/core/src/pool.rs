@@ -1,7 +1,8 @@
 //! A small shared worker pool for request-level parallelism.
 //!
 //! The engine already parallelises *inside* one mining run (candidate
-//! scoring fans out across a scoped pool, see [`engine`](crate::engine));
+//! scoring fans out across a scoped pool sized by
+//! [`CspmConfig::threads`](crate::CspmConfig::threads));
 //! a long-running daemon additionally needs parallelism *across* runs:
 //! many tenant sessions accepting mine requests concurrently, with the
 //! total CPU footprint bounded no matter how many connections are open.

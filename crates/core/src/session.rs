@@ -1,12 +1,12 @@
 //! Long-lived mining sessions: the primary API of `cspm-core`.
 //!
-//! The one-shot entry points ([`cspm_basic`](crate::cspm_basic),
-//! [`cspm_partial`](crate::cspm_partial), [`mine`](crate::mine)) build
-//! an inverted database, run the merge loop once, and throw the warm
-//! state away. The workloads the paper's dynamic application (§VI) and
-//! this repo's roadmap care about look different: the graph *evolves*,
-//! and the miner is asked again and again. A [`MiningSession`] keeps
-//! the expensive state alive between calls:
+//! The one-shot entry points ([`Miner::mine`], [`Miner::run`]) build
+//! an inverted database (or take a prebuilt one), run the merge loop
+//! once, and throw the warm state away. The workloads the paper's
+//! dynamic application (§VI) and this repo's roadmap care about look
+//! different: the graph *evolves*, and the miner is asked again and
+//! again. A [`MiningSession`] keeps the expensive state alive between
+//! calls:
 //!
 //! * the **current graph**, so evolution arrives as [`GraphDelta`]s —
 //!   additions, edge/label/vertex removals and label changes alike —
@@ -63,18 +63,23 @@ use cspm_graph::{AttributedGraph, GraphError, VertexId};
 use crate::config::CspmConfig;
 use crate::engine::{run_loop, CspmResult, ProgressObserver, RunToCompletion, SchedulePolicy};
 use crate::inverted::{InvertedDb, PatchError, PatchStats};
-use crate::{CoresetMode, GainPolicy, Variant};
+use crate::{CoresetMode, GainPolicy};
 
-/// Builder for [`MiningSession`]s.
+/// The miner's configuration: mines one-shot ([`Self::mine`],
+/// [`Self::run`]) or builds [`MiningSession`]s ([`Self::build`]).
 ///
 /// ```
-/// use cspm_core::Miner;
+/// use cspm_core::{Miner, SchedulePolicy};
 /// use cspm_graph::fixtures::paper_example;
 ///
 /// let (graph, _) = paper_example();
+/// // One shot: CSPM-Basic (Algorithm 1), nothing retained.
+/// let basic = Miner::new().policy(SchedulePolicy::FullRegeneration).mine(&graph);
+/// // A session keeps the database warm for deltas and re-runs.
 /// let mut session = Miner::new().threads(4).full_regen_cap(Some(10_000)).build();
 /// let result = session.mine(&graph);
 /// assert!(result.final_dl <= result.initial_dl);
+/// assert!(basic.final_dl <= basic.initial_dl);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Miner {
@@ -140,11 +145,6 @@ impl Miner {
         self
     }
 
-    /// Convenience: scheduling policy via the paper's variant names.
-    pub fn variant(self, variant: Variant) -> Self {
-        self.policy(variant.policy())
-    }
-
     /// Gain accounting policy (see [`GainPolicy`]).
     pub fn gain_policy(mut self, gain_policy: GainPolicy) -> Self {
         self.config.gain_policy = gain_policy;
@@ -204,6 +204,26 @@ impl Miner {
         &self.config
     }
 
+    /// One-shot mine: builds the inverted database for `g` and runs
+    /// the merge loop on it, keeping nothing warm (neither the graph
+    /// nor the database is cloned). `elapsed_secs` includes the build.
+    /// [`Self::build`] a session instead when the graph will evolve or
+    /// you want progress callbacks.
+    pub fn mine(self, g: &AttributedGraph) -> CspmResult {
+        let started = Instant::now();
+        let db = InvertedDb::build(g, self.config.coreset_mode, self.config.gain_policy);
+        let mut result = self.run(db);
+        result.stats.elapsed_secs = started.elapsed().as_secs_f64();
+        result
+    }
+
+    /// One-shot run of the merge loop on a prebuilt (or patched)
+    /// database, which it consumes. `elapsed_secs` covers the merge
+    /// loop only, so benchmarks can time it apart from the build.
+    pub fn run(self, db: InvertedDb) -> CspmResult {
+        run_loop(db, self.policy, self.config, &mut RunToCompletion)
+    }
+
     /// Builds an (unloaded) session. Feed it a graph with
     /// [`MiningSession::mine`] or [`MiningSession::load`].
     pub fn build(self) -> MiningSession {
@@ -226,8 +246,8 @@ pub enum SessionError {
     /// The session has no graph or database yet — call
     /// [`MiningSession::mine`] or [`MiningSession::load`] first.
     Empty,
-    /// The session owns a database but no graph (it was
-    /// [adopted](MiningSession::adopt_db)); deltas need the graph.
+    /// The session owns a database but no graph; deltas need the
+    /// graph.
     NoGraph,
     /// A delta does not apply to the session's current graph. `index`
     /// is its position in the staged batch (always 0 for the
@@ -246,7 +266,7 @@ impl std::fmt::Display for SessionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Empty => write!(f, "session has no graph loaded"),
-            Self::NoGraph => write!(f, "session adopted a bare database; deltas require a graph"),
+            Self::NoGraph => write!(f, "session holds a bare database; deltas require a graph"),
             Self::Delta { index, source } => {
                 write!(f, "delta #{index} of the batch does not apply: {source}")
             }
@@ -320,15 +340,6 @@ impl MiningSession {
         self.graph = Some(g);
         // A fresh build packs the arena exactly.
         self.release_heavy_deltas = 0;
-    }
-
-    /// Adopts a pre-built database as the session's pristine state.
-    /// The session has no graph afterwards, so deltas are unavailable
-    /// ([`SessionError::NoGraph`]) — this is the entry point the
-    /// [`run_on_db`](crate::engine::run_on_db) wrapper uses.
-    pub fn adopt_db(&mut self, db: InvertedDb) {
-        self.pristine = Some(db);
-        self.graph = None;
     }
 
     /// Installs previously captured warm state — a graph **and** the
@@ -437,7 +448,7 @@ impl MiningSession {
     /// batch instead of once per delta. (When there is no warm state
     /// worth keeping at all — e.g. a one-shot replay of a whole
     /// snapshot sequence, as in [`mine_dynamic`](crate::mine_dynamic)
-    /// — a cold [`Self::load_owned`] of the final graph is cheaper
+    /// — a one-shot [`Miner::mine`] of the final graph is cheaper
     /// still; batching earns its keep when the session has already
     /// mined and the batch is small relative to the graph.)
     ///
@@ -574,15 +585,6 @@ impl MiningSession {
         let db = self.pristine.as_ref().ok_or(SessionError::Empty)?;
         Ok(run_loop(db.clone(), self.policy, self.config, observer))
     }
-
-    /// Runs the merge loop by **consuming** the retained database —
-    /// the no-copy path for one-shot use (the free-function wrappers
-    /// route through here). The session is unloaded afterwards.
-    pub fn run_detached(&mut self) -> Option<CspmResult> {
-        let db = self.pristine.take()?;
-        self.graph = None;
-        Some(run_loop(db, self.policy, self.config, &mut RunToCompletion))
-    }
 }
 
 /// A resident session is exactly what [`crate::registry`]'s budget
@@ -627,7 +629,7 @@ mod tests {
             .gain_policy(GainPolicy::DataOnly)
             .max_merges(Some(7))
             .collect_stats(true)
-            .variant(Variant::Basic)
+            .policy(SchedulePolicy::FullRegeneration)
             .compact_above(4.0)
             .compact_after_releases(Some(5));
         assert_eq!(m.config().threads, 3);
@@ -657,38 +659,48 @@ mod tests {
             s.stage_delta(&GraphDelta::new()),
             Err(SessionError::Empty)
         ));
-        assert!(s.run_detached().is_none());
     }
 
-    #[test]
-    fn adopted_database_mines_but_rejects_deltas() {
-        let (g, _) = paper_example();
-        let db = InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::Total);
-        let mut s = Miner::new().build();
-        s.adopt_db(db);
-        assert!(s.graph().is_none());
-        assert!(matches!(
-            s.stage_delta(&GraphDelta::new()),
-            Err(SessionError::NoGraph)
-        ));
-        let res = s.run_with(&mut RunToCompletion).unwrap();
-        assert!(res.final_dl <= res.initial_dl);
-    }
-
+    /// The one-shot paths (`Miner::mine`, `Miner::run` on a prebuilt
+    /// database) and a retained session agree on every counter, for
+    /// both policies and at every thread count.
     #[test]
     fn session_mine_matches_free_function() {
         let (g, _) = paper_example();
-        let mut s = Miner::new().build();
-        let session = s.mine(&g);
-        let free = crate::cspm_partial(&g, CspmConfig::default());
-        assert_eq!(session.final_dl, free.final_dl);
-        assert_eq!(session.merges, free.merges);
-        assert!(s.is_loaded(), "warm state is retained");
-        // Re-running from the retained pristine state reproduces the
-        // result exactly.
-        let again = s.run_with(&mut RunToCompletion).unwrap();
-        assert_eq!(again.final_dl, session.final_dl);
-        assert_eq!(again.merges, session.merges);
+        for policy in [
+            SchedulePolicy::FullRegeneration,
+            SchedulePolicy::Incremental,
+        ] {
+            for threads in [1, 4] {
+                let miner = Miner::new().policy(policy).threads(threads);
+                let mut s = miner.build();
+                let session = s.mine(&g);
+                let one_shot = miner.mine(&g);
+                let prebuilt = miner.run(InvertedDb::build(
+                    &g,
+                    CoresetMode::SingleValue,
+                    GainPolicy::Total,
+                ));
+                for free in [&one_shot, &prebuilt] {
+                    let at = format!("{policy:?} @ {threads} threads");
+                    assert_eq!(session.final_dl.to_bits(), free.final_dl.to_bits(), "{at}");
+                    assert_eq!(session.merges, free.merges, "{at}");
+                    assert_eq!(
+                        session.stats.total_gain_evals, free.stats.total_gain_evals,
+                        "{at}"
+                    );
+                    assert_eq!(session.stats.pruned_pairs, free.stats.pruned_pairs, "{at}");
+                    assert_eq!(session.stats.delegated, free.stats.delegated, "{at}");
+                }
+                assert!(session.merges >= 1, "fixture must merge");
+                assert!(s.is_loaded(), "warm state is retained");
+                // Re-running from the retained pristine state reproduces
+                // the result exactly.
+                let again = s.run_with(&mut RunToCompletion).unwrap();
+                assert_eq!(again.final_dl, session.final_dl);
+                assert_eq!(again.merges, session.merges);
+            }
+        }
     }
 
     #[test]

@@ -77,13 +77,13 @@ impl std::fmt::Display for ModelSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{cspm_partial, CspmConfig};
+    use crate::{CspmConfig, Miner};
     use cspm_graph::fixtures::paper_example;
 
     #[test]
     fn summary_of_paper_example() {
         let (g, _) = paper_example();
-        let res = cspm_partial(&g, CspmConfig::default());
+        let res = Miner::from_config(CspmConfig::default()).mine(&g);
         let s = ModelSummary::new(&res.db, &res.model);
         assert_eq!(s.n_astars, res.model.len());
         assert_eq!(s.n_coresets, 3);
@@ -98,13 +98,11 @@ mod tests {
     #[test]
     fn mean_size_of_unmerged_model_is_one() {
         let (g, _) = paper_example();
-        let res = cspm_partial(
-            &g,
-            CspmConfig {
-                max_merges: Some(0),
-                ..Default::default()
-            },
-        );
+        let res = Miner::from_config(CspmConfig {
+            max_merges: Some(0),
+            ..Default::default()
+        })
+        .mine(&g);
         let s = ModelSummary::new(&res.db, &res.model);
         assert!((s.mean_leafset_size - 1.0).abs() < 1e-12);
         assert_eq!(s.merged_rows, 0);

@@ -35,10 +35,9 @@
 use std::ops::ControlFlow;
 use std::path::Path;
 
-use cspm_core::engine::CspmResult;
 use cspm_core::{
-    CspmConfig, DeltaStats, InvertedDb, IterationStat, Miner, MiningSession, ProgressObserver,
-    SessionError,
+    CspmConfig, CspmResult, DeltaStats, InvertedDb, IterationStat, Miner, MiningSession,
+    ProgressObserver, SessionError,
 };
 use cspm_graph::dynamic::GraphDelta;
 use cspm_graph::AttributedGraph;

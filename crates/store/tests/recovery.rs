@@ -27,8 +27,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cspm_core::engine::CspmResult;
-use cspm_core::{Miner, MiningSession, ProgressObserver};
+use cspm_core::{CspmResult, Miner, MiningSession, ProgressObserver};
 use cspm_graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm_graph::{AttributedGraph, GraphBuilder};
 use cspm_store::{Durable, DurableSession, Fault, FaultTarget, RecoveryOutcome, StoreError};

@@ -6,7 +6,7 @@
 //! cargo run --release --example dynamic_mining
 //! ```
 
-use cspm::core::{mine_dynamic, CspmConfig, Variant};
+use cspm::core::{mine_dynamic, Miner};
 use cspm::datasets::{dblp_like, Scale};
 use cspm::graph::dynamic::SnapshotSequence;
 
@@ -24,7 +24,7 @@ fn main() {
         seq.union_graph().edge_count()
     );
 
-    let result = mine_dynamic(&seq, Variant::Partial, CspmConfig::default());
+    let result = mine_dynamic(&seq, Miner::new());
     println!(
         "mined {} a-stars over the union ({} merges)\n",
         result.result.model.len(),

@@ -29,7 +29,8 @@
 //!
 //! Scheduling knobs (speed only — mined output is bit-identical at any
 //! setting): `--threads N` sets the candidate-scoring worker count
-//! (default 0 = one per core, capped at 8); `--full-regen-cap N` sets
+//! (default 0 = one per core, capped at 8; `mine` and `serve` refuse
+//! values above 256); `--full-regen-cap N` sets
 //! the candidate-pair count past which `--basic` (full regeneration)
 //! delegates to the incremental policy (`none` disables delegation and
 //! always honours `--basic`; default 10000).
@@ -45,7 +46,8 @@ use std::fs::File;
 use std::process::ExitCode;
 
 use cspm::core::{
-    verify_lossless, CoresetMode, CspmConfig, CspmResult, GainPolicy, ModelSummary, Variant,
+    verify_lossless, CoresetMode, CspmConfig, CspmResult, GainPolicy, Miner, ModelSummary,
+    SchedulePolicy,
 };
 use cspm::datasets::{dblp_like, dblp_trend_like, pokec_like, save_dataset, usflight_like, Scale};
 use cspm::graph::{metrics, read_graph, AttributedGraph};
@@ -90,7 +92,8 @@ machine-readable output:
                        progress/ingest notes go to stderr
 
 mine scheduling knobs (tune speed, never the mined model):
-  --threads N          candidate-scoring worker threads (0 = auto, default)
+  --threads N          candidate-scoring worker threads (0 = auto, default;
+                       at most 256, here and for serve's pool workers)
   --full-regen-cap N   delegate --basic to the incremental policy past N
                        initial candidate pairs ('none' disables; default 10000)
 
@@ -152,6 +155,46 @@ fn run(args: &[String]) -> Result<(), String> {
         Some(other) => Err(format!("unknown command '{other}'")),
         None => Err("missing command".into()),
     }
+}
+
+/// Largest `--threads` value `mine` and `serve` accept. A mine sweep
+/// spawns one scoring worker per chunk and `serve` spawns its whole
+/// pool at startup, so an unchecked value asks the OS for that many
+/// threads.
+const MAX_THREADS: usize = 256;
+
+/// Why a `--threads` value was refused.
+#[derive(Debug)]
+enum ThreadsError {
+    NotANumber(String),
+    TooMany(usize),
+}
+
+impl std::fmt::Display for ThreadsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NotANumber(raw) => write!(f, "--threads must be an integer, got '{raw}'"),
+            Self::TooMany(n) => write!(f, "--threads {n} exceeds the limit of {MAX_THREADS}"),
+        }
+    }
+}
+
+impl From<ThreadsError> for String {
+    fn from(e: ThreadsError) -> Self {
+        e.to_string()
+    }
+}
+
+/// The `--threads` check shared by `mine` and `serve`. Both call it
+/// while parsing arguments, before any graph load or socket bind.
+fn parse_threads(raw: &str) -> Result<usize, ThreadsError> {
+    let n = raw
+        .parse()
+        .map_err(|_| ThreadsError::NotANumber(raw.to_string()))?;
+    if n > MAX_THREADS {
+        return Err(ThreadsError::TooMany(n));
+    }
+    Ok(n)
 }
 
 fn load(path: &str) -> Result<AttributedGraph, String> {
@@ -230,7 +273,7 @@ fn ingest_input(_dump: &str, _format: &str, _json: bool) -> Result<AttributedGra
 
 fn mine(args: &[String]) -> Result<(), String> {
     let mut config = CspmConfig::default();
-    let mut variant = Variant::Partial;
+    let mut policy = SchedulePolicy::Incremental;
     let mut top = 20usize;
     let mut json = false;
     let mut graph_file: Option<&String> = None;
@@ -254,7 +297,7 @@ fn mine(args: &[String]) -> Result<(), String> {
                         .clone(),
                 );
             }
-            "--basic" => variant = Variant::Basic,
+            "--basic" => policy = SchedulePolicy::FullRegeneration,
             "--data-only" => config.gain_policy = GainPolicy::DataOnly,
             "--top" => {
                 top = it
@@ -270,10 +313,8 @@ fn mine(args: &[String]) -> Result<(), String> {
                 };
             }
             "--threads" => {
-                config.threads = it
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a number (0 = auto)")?;
+                let raw = it.next().ok_or("--threads needs a number (0 = auto)")?;
+                config.threads = parse_threads(raw)?;
             }
             "--full-regen-cap" => {
                 config.full_regen_max_pairs = match it.next().map(String::as_str) {
@@ -303,7 +344,7 @@ fn mine(args: &[String]) -> Result<(), String> {
             graph_file,
             input,
             format.as_deref(),
-            variant,
+            policy,
             config,
             top,
             json,
@@ -314,13 +355,10 @@ fn mine(args: &[String]) -> Result<(), String> {
         (None, Some(dump)) => ingest_input(dump, format.as_deref().unwrap_or("auto"), json)?,
         _ => return Err("mine needs a graph file, --input <dump>, or --store <path>".into()),
     };
-    // One-shot CLI run: `cspm::core::mine` is the session API's
-    // detached wrapper (build → run, nothing cloned, nothing
-    // retained) — the right shape for a process that exits afterwards.
-    // Both paper variants are scheduling policies of the same session
-    // engine.
-    let result = cspm::core::mine(&g, variant, config);
-    report_mine(&g, variant, &result, top, json, None);
+    // One-shot CLI run: `Miner::mine` clones and retains nothing — the
+    // right shape for a process that exits afterwards.
+    let result = Miner::from_config(config).policy(policy).mine(&g);
+    report_mine(&g, policy, &result, top, json, None);
     Ok(())
 }
 
@@ -335,7 +373,7 @@ fn mine_durable(
     graph_file: Option<&String>,
     input: Option<&String>,
     format: Option<&str>,
-    variant: Variant,
+    policy: SchedulePolicy,
     config: CspmConfig,
     top: usize,
     json: bool,
@@ -349,7 +387,7 @@ fn mine_durable(
             println!("{line}");
         }
     };
-    let miner = cspm::core::Miner::from_config(config).variant(variant);
+    let miner = Miner::from_config(config).policy(policy);
     let mut durable = DurableSession::open_with(miner, store_path, &mut WarnToStderr)
         .map_err(|e| format!("cannot open store {store_path}: {e}"))?;
 
@@ -401,7 +439,7 @@ fn mine_durable(
         ));
         (g, result)
     };
-    report_mine(&g, variant, &result, top, json, Some(&durable));
+    report_mine(&g, policy, &result, top, json, Some(&durable));
     Ok(())
 }
 
@@ -411,14 +449,14 @@ fn mine_durable(
 /// the same document.
 fn report_mine(
     g: &AttributedGraph,
-    variant: Variant,
+    policy: SchedulePolicy,
     result: &CspmResult,
     top: usize,
     json: bool,
     durable: Option<&cspm::store::DurableSession>,
 ) {
     if json {
-        println!("{}", mine_json(g, variant, result, top, durable));
+        println!("{}", mine_json(g, policy, result, top, durable));
         return;
     }
     if result.stats.delegated {
@@ -447,7 +485,7 @@ fn report_mine(
 /// a `"store"` object (generation, WAL position, recovery outcome).
 fn mine_json(
     g: &AttributedGraph,
-    variant: Variant,
+    policy: SchedulePolicy,
     result: &CspmResult,
     top: usize,
     durable: Option<&cspm::store::DurableSession>,
@@ -458,9 +496,9 @@ fn mine_json(
     j.field_str("command", "mine");
     j.field_str(
         "variant",
-        match variant {
-            Variant::Basic => "basic",
-            Variant::Partial => "partial",
+        match policy {
+            SchedulePolicy::FullRegeneration => "basic",
+            SchedulePolicy::Incremental => "partial",
         },
     );
     graph_json(&mut j, g);
@@ -805,7 +843,7 @@ fn verify(args: &[String]) -> Result<(), String> {
     let g = load(path)?;
     g.validate()
         .map_err(|e| format!("input constraint violated: {e}"))?;
-    let result = cspm::core::mine(&g, Variant::Partial, CspmConfig::default());
+    let result = Miner::new().mine(&g);
     let errors = verify_lossless(&g, &result.db);
     if errors.is_empty() {
         println!(
@@ -849,11 +887,7 @@ fn serve(args: &[String]) -> Result<(), String> {
     for (flag, raw) in config_rest {
         match flag {
             "store-dir" => config.store_dir = Some(raw.into()),
-            "threads" => {
-                config.threads = raw
-                    .parse()
-                    .map_err(|_| format!("--threads must be an integer, got '{raw}'"))?;
-            }
+            "threads" => config.threads = parse_threads(&raw)?,
             "mem-budget" => {
                 config.mem_budget = Some(
                     raw.parse()

@@ -570,3 +570,51 @@ fn helpful_errors() {
     assert!(!ok);
     assert!(stderr.contains("--format only applies to --input"));
 }
+
+/// `mine` and `serve` share one `--threads` limit, checked while
+/// parsing arguments: before any graph load (the graph path below does
+/// not exist) and before any socket bind (no socket file appears), so
+/// the refusal itself starts no thread.
+#[test]
+fn threads_above_the_limit_are_refused() {
+    let refusal = "--threads 1000000 exceeds the limit of 256";
+
+    let out = Command::new(env!("CARGO_BIN_EXE_cspm"))
+        .args(["mine", "/nonexistent/file.graph", "--basic"])
+        .args(["--full-regen-cap", "none", "--threads", "1000000"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(refusal), "mine: {stderr}");
+    assert!(stderr.contains("at most 256"), "usage states the limit");
+
+    let socket = temp_path("threads-limit.sock");
+    std::fs::remove_file(&socket).ok();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cspm"))
+        .args(["serve", "--socket", socket.to_str().unwrap()])
+        .args(["--threads", "1000000"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // A daemon that got past the check would never exit on its own.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("child can be polled") {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            std::fs::remove_file(&socket).ok();
+            panic!("serve accepted --threads 1000000 and kept running");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert_eq!(status.code(), Some(1));
+    assert!(stderr.contains(refusal), "serve: {stderr}");
+    assert!(!socket.exists(), "serve must refuse before binding");
+}

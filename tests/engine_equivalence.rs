@@ -3,11 +3,10 @@
 //! the flat posting-list store must behave exactly like the reference
 //! sorted-slice algebra.
 
-use cspm::core::engine::run_on_db;
 use cspm::core::positions::{difference_inplace, intersect, intersect_count, union};
 use cspm::core::{
-    cspm_basic, cspm_partial, mine, verify_lossless, CoresetMode, CspmConfig, GainPolicy,
-    InvertedDb, PostingPolicy, PostingStore, SchedulePolicy, Variant,
+    verify_lossless, CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, PostingPolicy,
+    PostingStore, SchedulePolicy,
 };
 use cspm::datasets::{planted_astars, PlantedConfig};
 use cspm::graph::fixtures::paper_example;
@@ -24,16 +23,12 @@ fn equiv_config() -> CspmConfig {
 }
 
 #[test]
-fn variants_dispatch_through_the_shared_engine() {
-    assert_eq!(Variant::Basic.policy(), SchedulePolicy::FullRegeneration);
-    assert_eq!(Variant::Partial.policy(), SchedulePolicy::Incremental);
-}
-
-#[test]
 fn engine_policies_reach_identical_dl_on_paper_example() {
     let (g, _) = paper_example();
-    let basic = cspm_basic(&g, equiv_config());
-    let partial = cspm_partial(&g, equiv_config());
+    let basic = Miner::from_config(equiv_config())
+        .policy(SchedulePolicy::FullRegeneration)
+        .mine(&g);
+    let partial = Miner::from_config(equiv_config()).mine(&g);
     assert!(
         (basic.final_dl - partial.final_dl).abs() < 1e-9,
         "basic {} vs partial {}",
@@ -66,8 +61,10 @@ fn engine_policies_reach_identical_dl_on_planted_patterns() {
             seed: 3,
         },
     );
-    let basic = mine(&g, Variant::Basic, equiv_config());
-    let partial = mine(&g, Variant::Partial, equiv_config());
+    let basic = Miner::from_config(equiv_config())
+        .policy(SchedulePolicy::FullRegeneration)
+        .mine(&g);
+    let partial = Miner::from_config(equiv_config()).mine(&g);
     assert!(
         (basic.final_dl - partial.final_dl).abs() < 1e-6,
         "basic {} vs partial {}",
@@ -104,7 +101,10 @@ fn mining_is_bit_identical_at_threads_1_2_8() {
         },
     );
     for policy in [GainPolicy::Total, GainPolicy::DataOnly] {
-        for variant in [Variant::Basic, Variant::Partial] {
+        for schedule in [
+            SchedulePolicy::FullRegeneration,
+            SchedulePolicy::Incremental,
+        ] {
             let config = |threads| {
                 CspmConfig {
                     gain_policy: policy,
@@ -112,12 +112,14 @@ fn mining_is_bit_identical_at_threads_1_2_8() {
                 }
                 .with_threads(threads)
             };
-            let base = mine(&g, variant, config(1));
+            let base = Miner::from_config(config(1)).policy(schedule).mine(&g);
             for threads in [2usize, 8] {
-                let run = mine(&g, variant, config(threads));
+                let run = Miner::from_config(config(threads))
+                    .policy(schedule)
+                    .mine(&g);
                 assert_eq!(
                     base.final_dl, run.final_dl,
-                    "{variant:?}/{policy:?} diverged at {threads} threads"
+                    "{schedule:?}/{policy:?} diverged at {threads} threads"
                 );
                 assert_eq!(base.merges, run.merges);
                 assert_eq!(base.stats.total_gain_evals, run.stats.total_gain_evals);
@@ -142,26 +144,22 @@ fn full_regeneration_delegates_and_matches_incremental() {
             seed: 7,
         },
     );
-    let delegated = mine(
-        &g,
-        Variant::Basic,
-        CspmConfig {
-            full_regen_max_pairs: Some(1),
-            ..equiv_config()
-        },
-    );
+    let delegated = Miner::from_config(CspmConfig {
+        full_regen_max_pairs: Some(1),
+        ..equiv_config()
+    })
+    .policy(SchedulePolicy::FullRegeneration)
+    .mine(&g);
     assert!(delegated.stats.delegated);
-    let incremental = mine(&g, Variant::Partial, equiv_config());
+    let incremental = Miner::from_config(equiv_config()).mine(&g);
     assert_eq!(delegated.final_dl, incremental.final_dl);
     assert_eq!(delegated.merges, incremental.merges);
-    let honoured = mine(
-        &g,
-        Variant::Basic,
-        CspmConfig {
-            full_regen_max_pairs: None,
-            ..equiv_config()
-        },
-    );
+    let honoured = Miner::from_config(CspmConfig {
+        full_regen_max_pairs: None,
+        ..equiv_config()
+    })
+    .policy(SchedulePolicy::FullRegeneration)
+    .mine(&g);
     assert!(!honoured.stats.delegated);
     assert!(verify_lossless(&g, &delegated.db).is_empty());
 }
@@ -245,7 +243,10 @@ fn adaptive_and_sparse_only_stores_mine_bit_identically() {
         probe.posting_store().repr_stats().bitmap_rows > 0,
         "fixture too diffuse: no bitmap rows in the initial database"
     );
-    for variant in [Variant::Basic, Variant::Partial] {
+    for schedule in [
+        SchedulePolicy::FullRegeneration,
+        SchedulePolicy::Incremental,
+    ] {
         for gain_policy in [GainPolicy::Total, GainPolicy::DataOnly] {
             for threads in [1usize, 4] {
                 let config = CspmConfig {
@@ -254,22 +255,20 @@ fn adaptive_and_sparse_only_stores_mine_bit_identically() {
                 }
                 .with_threads(threads);
                 let run = |posting| {
-                    run_on_db(
-                        InvertedDb::build_with_posting(
+                    Miner::from_config(config)
+                        .policy(schedule)
+                        .run(InvertedDb::build_with_posting(
                             &g,
                             config.coreset_mode,
                             config.gain_policy,
                             posting,
-                        ),
-                        variant.policy(),
-                        config,
-                    )
+                        ))
                 };
                 let sparse = run(PostingPolicy::SparseOnly);
                 let adaptive = run(PostingPolicy::Adaptive);
                 assert_eq!(
                     sparse.final_dl, adaptive.final_dl,
-                    "{variant:?}/{gain_policy:?} DL diverged at {threads} threads"
+                    "{schedule:?}/{gain_policy:?} DL diverged at {threads} threads"
                 );
                 assert_eq!(sparse.merges, adaptive.merges);
                 assert_eq!(
@@ -452,10 +451,10 @@ proptest! {
             }
         }
         let g = b.build().unwrap();
-        let basic = cspm_basic(&g, equiv_config());
-        let partial = cspm_partial(&g, equiv_config());
-        prop_assert_eq!(cspm_basic(&g, equiv_config()).final_dl, basic.final_dl);
-        prop_assert_eq!(cspm_partial(&g, equiv_config()).final_dl, partial.final_dl);
+        let basic = Miner::from_config(equiv_config()).policy(SchedulePolicy::FullRegeneration).mine(&g);
+        let partial = Miner::from_config(equiv_config()).mine(&g);
+        prop_assert_eq!(Miner::from_config(equiv_config()).policy(SchedulePolicy::FullRegeneration).mine(&g).final_dl, basic.final_dl);
+        prop_assert_eq!(Miner::from_config(equiv_config()).mine(&g).final_dl, partial.final_dl);
         // (Total-DL compression under GainPolicy::Total is asserted in
         // tests/properties.rs; under DataOnly only the data cost is
         // monotone, so no compression claim is made here.)

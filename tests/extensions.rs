@@ -2,7 +2,7 @@
 //! dynamic attributed graphs and graph classification.
 
 use cspm::classify::{labeled_graph_collection, train_classifier, CollectionConfig};
-use cspm::core::{mine_dynamic, verify_lossless, CspmConfig, Variant};
+use cspm::core::{mine_dynamic, verify_lossless, Miner};
 use cspm::datasets::{usflight_like, Scale};
 use cspm::graph::dynamic::SnapshotSequence;
 use cspm::nn::NetConfig;
@@ -14,7 +14,7 @@ fn dynamic_mining_finds_persistent_patterns() {
     let seq: SnapshotSequence = (0..4)
         .map(|season| usflight_like(Scale::Tiny, 50 + season).graph)
         .collect();
-    let result = mine_dynamic(&seq, Variant::Partial, CspmConfig::default());
+    let result = mine_dynamic(&seq, Miner::new());
     assert!(result.result.merges >= 1);
     let persistent: Vec<_> = result.persistent(3).collect();
     assert!(
@@ -35,7 +35,7 @@ fn dynamic_union_mining_is_lossless() {
         .map(|s| usflight_like(Scale::Tiny, 60 + s).graph)
         .collect();
     let union = seq.union_graph();
-    let result = mine_dynamic(&seq, Variant::Partial, CspmConfig::default());
+    let result = mine_dynamic(&seq, Miner::new());
     let errors = verify_lossless(&union, &result.result.db);
     assert!(
         errors.is_empty(),
@@ -78,7 +78,7 @@ fn lossless_verification_on_every_benchmark() {
     // The §IV-A losslessness claim, end to end, on all four (tiny)
     // benchmark generators.
     for d in cspm::datasets::benchmark_suite(Scale::Tiny, 1234) {
-        let result = cspm::core::cspm_partial(&d.graph, CspmConfig::default());
+        let result = Miner::new().mine(&d.graph);
         let errors = verify_lossless(&d.graph, &result.db);
         assert!(
             errors.is_empty(),

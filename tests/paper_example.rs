@@ -1,7 +1,7 @@
 //! End-to-end reproduction of the paper's running example (Fig. 1–4)
 //! through the public facade API.
 
-use cspm::core::{cspm_basic, cspm_partial, CoresetMode, CspmConfig, GainPolicy, InvertedDb};
+use cspm::core::{CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, SchedulePolicy};
 use cspm::graph::fixtures::paper_example;
 use cspm::graph::AStar;
 
@@ -42,8 +42,10 @@ fn fig4_merge_appears_in_final_model() {
     let (g, at) = paper_example();
     // Both variants merge {b} and {c} under coreset {a} (§IV-E).
     for result in [
-        cspm_basic(&g, CspmConfig::default()),
-        cspm_partial(&g, CspmConfig::default()),
+        Miner::new()
+            .policy(SchedulePolicy::FullRegeneration)
+            .mine(&g),
+        Miner::new().mine(&g),
     ] {
         assert!(result.merges >= 1);
         assert!(result.final_dl < result.initial_dl);
@@ -59,7 +61,7 @@ fn fig4_merge_appears_in_final_model() {
 #[test]
 fn output_is_ranked_by_code_length() {
     let (g, _) = paper_example();
-    let result = cspm_partial(&g, CspmConfig::default());
+    let result = Miner::new().mine(&g);
     let lens: Vec<f64> = result.model.astars().iter().map(|m| m.code_len).collect();
     assert!(lens.windows(2).all(|w| w[0] <= w[1] + 1e-12));
 }
@@ -69,13 +71,12 @@ fn conditional_entropy_drops_with_merging() {
     let (g, _) = paper_example();
     let before =
         InvertedDb::build(&g, CoresetMode::SingleValue, GainPolicy::DataOnly).conditional_entropy();
-    let after = cspm_basic(
-        &g,
-        CspmConfig {
-            gain_policy: GainPolicy::DataOnly,
-            ..Default::default()
-        },
-    )
+    let after = Miner::from_config(CspmConfig {
+        gain_policy: GainPolicy::DataOnly,
+        ..Default::default()
+    })
+    .policy(SchedulePolicy::FullRegeneration)
+    .mine(&g)
     .db
     .conditional_entropy();
     assert!(

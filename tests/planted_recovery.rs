@@ -1,7 +1,7 @@
 //! Pattern-recovery integration tests: CSPM must rediscover planted
 //! a-stars and rank them highly (the qualitative claim behind Fig. 6).
 
-use cspm::core::{cspm_partial, CspmConfig, Variant};
+use cspm::core::Miner;
 use cspm::datasets::{planted_astars, pokec_like, usflight_like, PlantedConfig, Scale};
 
 #[test]
@@ -17,7 +17,7 @@ fn planted_astars_are_rediscovered_and_ranked_high() {
             ..Default::default()
         },
     );
-    let result = cspm_partial(&g, CspmConfig::default());
+    let result = Miner::new().mine(&g);
 
     // Every planted correlation appears in some mined leafset under the
     // right coreset.
@@ -55,7 +55,7 @@ fn pokec_music_pattern_shape() {
     // whose leafsets bundle several of the young genres together.
     let d = pokec_like(Scale::Tiny, 77);
     let g = &d.graph;
-    let result = cspm_partial(g, CspmConfig::default());
+    let result = Miner::new().mine(g);
     let young: Vec<u32> = ["rap", "rock", "metal", "pop", "sladaky"]
         .iter()
         .filter_map(|s| g.attrs().get(s))
@@ -83,7 +83,7 @@ fn usflight_trend_pattern_is_found() {
     // §VI-B(2): ({NbDepart-}, {NbDepart+, DelayArriv-}).
     let d = usflight_like(Scale::Paper, 5);
     let g = &d.graph;
-    let result = cspm::core::mine(g, Variant::Partial, CspmConfig::default());
+    let result = Miner::new().mine(g);
     let dm = g.attrs().get("NbDepart-").unwrap();
     let dp = g.attrs().get("NbDepart+").unwrap();
     let da = g.attrs().get("DelayArriv-").unwrap();
@@ -109,7 +109,7 @@ fn unique_labels_yield_no_frequent_patterns() {
         b.add_edge(i - 1, i).unwrap();
     }
     let g = b.build().unwrap();
-    let result = cspm_partial(&g, CspmConfig::default());
+    let result = Miner::new().mine(&g);
     assert!(result.final_dl <= result.initial_dl);
     for m in result.model.astars() {
         assert_eq!(

@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 
-use cspm::core::{verify_lossless, CspmConfig, Variant};
+use cspm::core::{verify_lossless, Miner};
 use cspm::datasets::ingest::{ingest, Format, SnapshotPolicy};
 
 fn fixture(name: &str) -> PathBuf {
@@ -30,7 +30,7 @@ fn mine_fixture(name: &str, expect: Format) -> f64 {
     );
     assert!(g.edge_count() > g.vertex_count(), "{name}: too sparse");
 
-    let result = cspm::core::mine(g, Variant::Partial, CspmConfig::default());
+    let result = Miner::new().mine(g);
     let ratio = result.compression_ratio();
     assert!(
         ratio > 0.0 && ratio < 1.0,

@@ -12,7 +12,7 @@
 //! the accepted gain would disagree with the realised DL delta and the
 //! per-iteration DL trace would rise.
 
-use cspm::core::{mine, CspmConfig, GainPolicy, SchedulePolicy, Variant};
+use cspm::core::{CspmConfig, GainPolicy, Miner, SchedulePolicy};
 use cspm::graph::GraphBuilder;
 use proptest::prelude::*;
 
@@ -63,7 +63,7 @@ proptest! {
         seed in 0u64..2000,
     ) {
         let g = random_graph(n, k, seed);
-        for variant in [Variant::Basic, Variant::Partial] {
+        for schedule in [SchedulePolicy::FullRegeneration, SchedulePolicy::Incremental] {
             for gain_policy in [GainPolicy::Total, GainPolicy::DataOnly] {
                 let mut traces = Vec::new();
                 for threads in [1usize, 4] {
@@ -72,12 +72,12 @@ proptest! {
                         ..CspmConfig::instrumented()
                     }
                     .with_threads(threads);
-                    let res = mine(&g, variant, config);
+                    let res = Miner::from_config(config).policy(schedule).mine(&g);
                     // Every applied merge was validated positive.
                     for it in &res.stats.iterations {
                         prop_assert!(
                             it.accepted_gain > 0.0,
-                            "{variant:?}/{gain_policy:?}: applied a non-positive gain"
+                            "{schedule:?}/{gain_policy:?}: applied a non-positive gain"
                         );
                     }
                     // Under Total pricing the accepted gain is the exact
@@ -98,13 +98,5 @@ proptest! {
                 prop_assert_eq!(traces[0], traces[1]);
             }
         }
-    }
-
-    /// Sanity for the policy mapping used above.
-    #[test]
-    fn variant_policy_mapping(seed in 0u64..2) {
-        let _ = seed;
-        prop_assert_eq!(Variant::Basic.policy(), SchedulePolicy::FullRegeneration);
-        prop_assert_eq!(Variant::Partial.policy(), SchedulePolicy::Incremental);
     }
 }

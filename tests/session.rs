@@ -6,7 +6,9 @@
 
 use std::ops::ControlFlow;
 
-use cspm::core::{mine_dynamic, CspmConfig, CspmResult, FnObserver, IterationStat, Miner, Variant};
+use cspm::core::{
+    mine_dynamic, CspmConfig, CspmResult, FnObserver, IterationStat, Miner, SchedulePolicy,
+};
 use cspm::graph::dynamic::{DeltaVertex, GraphDelta, SnapshotSequence};
 use cspm::graph::{AttrId, AttributedGraph, GraphBuilder, VertexId};
 use proptest::prelude::*;
@@ -133,21 +135,21 @@ proptest! {
         let union = seq.union_graph();
         let (first, deltas) = seq.replay().unwrap();
 
-        for variant in [Variant::Basic, Variant::Partial] {
+        for schedule in [SchedulePolicy::FullRegeneration, SchedulePolicy::Incremental] {
             for threads in [1usize, 4] {
                 let config = CspmConfig::default().with_threads(threads);
-                let label = format!("{variant:?} @ {threads} threads (seed {seed})");
+                let label = format!("{schedule:?} @ {threads} threads (seed {seed})");
 
-                let mut session = Miner::from_config(config).variant(variant).build();
+                let mut session = Miner::from_config(config).policy(schedule).build();
                 let mut warm = session.mine(&first);
                 for delta in &deltas {
                     warm = session.apply_delta(delta).unwrap();
                 }
 
-                let dynamic = mine_dynamic(&seq, variant, config);
+                let dynamic = mine_dynamic(&seq, Miner::from_config(config).policy(schedule));
                 assert_bit_identical(&warm, &dynamic.result, &format!("{label} vs mine_dynamic"));
 
-                let cold = Miner::from_config(config).variant(variant).build().mine(&union);
+                let cold = Miner::from_config(config).policy(schedule).build().mine(&union);
                 assert_bit_identical(&warm, &cold, &format!("{label} vs cold re-mine"));
             }
         }

@@ -6,10 +6,9 @@
 //! `CSPM_CHURN_SEED` (CI pins a seed matrix); a fixed seed reproduces
 //! the exact sweep.
 
-use cspm::core::engine::{run_on_db, CspmResult};
 use cspm::core::{
-    CoresetMode, CspmConfig, GainPolicy, InvertedDb, Miner, MiningSession, PostingPolicy,
-    ProgressObserver, Variant,
+    CoresetMode, CspmConfig, CspmResult, GainPolicy, InvertedDb, Miner, MiningSession,
+    PostingPolicy, ProgressObserver, SchedulePolicy,
 };
 use cspm::graph::dynamic::{DeltaVertex, GraphDelta};
 use cspm::graph::{AttributedGraph, GraphBuilder};
@@ -237,14 +236,18 @@ fn patched_databases_mine_bit_identically_under_both_posting_policies() {
                         ..Default::default()
                     }
                     .with_threads(threads);
-                    let warm = run_on_db(db.clone(), Variant::Partial.policy(), config);
+                    let warm = Miner::from_config(config)
+                        .policy(SchedulePolicy::Incremental)
+                        .run(db.clone());
                     let fresh = InvertedDb::build_with_posting(
                         &rolling,
                         CoresetMode::SingleValue,
                         gain_policy,
                         posting,
                     );
-                    let cold = run_on_db(fresh, Variant::Partial.policy(), config);
+                    let cold = Miner::from_config(config)
+                        .policy(SchedulePolicy::Incremental)
+                        .run(fresh);
                     assert_bit_identical(
                         &warm,
                         &cold,
